@@ -4,8 +4,18 @@ Semigroups are enumerated by ascending candidate tuples, keeping exactly the
 tuples that are minimal generating sets with gcd 1.  For each semigroup the
 candidate ideals contain 0 plus nonzero offsets up to frobenius minus
 multiplicity, with at most 1 + t // 2 generators for a t-generated
-semigroup, emitted only when the tuple is already minimal.  Every pair goes
-through ideal.brick_check; hits become BrickReport records.
+semigroup, emitted only when the tuple is already minimal.  Candidates that
+survive the pruning below go through an inlined form of the brick test
+(_brick_dual_gens).  Every hit is re-validated through ideal.brick_check
+before it becomes a BrickReport record; a disagreement raises RuntimeError,
+an explicit check that python -O keeps.
+
+Most three-generator candidates (0, u, v) never reach the kernel.  The duals
+of the two-generator ideals (0, g) are extracted in full once per semigroup;
+a pair of their minimal generators that already breaks the brick condition
+rules out every larger ideal whose dual still holds both ends, and these
+rulings become one bitmask per gap (see _kill_mask).  The pruning is exact:
+the tests compare the scan with the unpruned one over whole spaces.
 
 The search fans whole chunks of candidate tuples out to worker processes;
 workers own their result lists and a final sort by (semigroup, ideal)
@@ -16,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import logging
 import math
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -24,7 +33,6 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 from .errors import (
-    IntegerOverflowError,
     InvalidInputError,
     NotTwoByTwoError,
     ParentMismatchError,
@@ -32,8 +40,6 @@ from .errors import (
 )
 from .ideal import BrickCheck, RelativeIdeal, brick_check
 from .sgcore import NumericalSemigroup
-
-log = logging.getLogger(__name__)
 
 TABLE_HEADER = "s_gens;i_gens;dual_gens;k;m;perfect;mult;frob"
 
@@ -264,6 +270,12 @@ def _scan_semigroup(S: NumericalSemigroup,
     distinct and no difference of two sums is a member (the sums generate
     I + J, and its minimal generating set is their greedy reduction).  Every
     hit is re-validated through ideal.brick_check before being reported.
+
+    Three-generator candidates are first filtered by kill masks (see
+    _kill_mask): for every gap g, bit x of kill[g] is set when a bad pair of
+    S - (0, g) survives into S - (0, g, x), which rejects (0, g, x) without
+    running the kernel.  (0, u, v) is skipped when kill[u] marks v or
+    kill[v] marks u, because it contains both (0, u) and (0, v).
     """
     out: list[BrickReport] = []
     frob = S.frobenius
@@ -276,16 +288,15 @@ def _scan_semigroup(S: NumericalSemigroup,
     gapmask = ~smask & ((1 << (top + 1)) - 1)
     table = S.apery_table
     m = S.multiplicity
+    gaps = _bits(gapmask)
 
     def report(offsets: tuple[int, ...]) -> None:
         ideal = RelativeIdeal._trusted(S, (0, *offsets))
-        try:
-            check = brick_check(S, ideal)
-        except IntegerOverflowError as exc:
-            log.warning("skipping pair %s / %s: %s",
-                        S.min_gens, ideal.min_gens, exc)
-            return
-        assert check.is_brick
+        check = brick_check(S, ideal)
+        if not check.is_brick:
+            raise RuntimeError(
+                f"scan kernel reported a brick that brick_check rejects: "
+                f"semigroup {S.min_gens}, ideal {ideal.min_gens}")
         if check.is_perfect or not config.perfect_only:
             out.append(BrickReport.from_check(S, ideal, check))
 
@@ -300,20 +311,80 @@ def _scan_semigroup(S: NumericalSemigroup,
             if len(ext) + 1 < cap:
                 deeper(ext, cand & (gapmask << x), sub)
 
-    for u in _bits(gapmask):
-        emask_u = smask & (smask >> u)
-        if _brick_dual_gens(emask_u, smask, (u,), table, m) is not None:
+    # kill masks feed level 3 only; without it they are not built
+    wanted = gapmask if cap >= 3 else 0
+    brick = {}
+    kill = {}
+    for g in gaps:
+        brick[g], kill[g] = _kill_mask(smask & (smask >> g), smask, g,
+                                       table, m, wanted)
+    for u in gaps:
+        if brick[u]:
             report((u,))
-        if cap >= 3:
-            cand_u = gapmask & (gapmask << u)
-            for v in _bits(cand_u):
-                emask_uv = emask_u & (smask >> v)
-                if _brick_dual_gens(emask_uv, smask, (u, v, v - u),
-                                    table, m) is not None:
-                    report((u, v))
-                if cap >= 4:
-                    deeper((u, v), cand_u & (gapmask << v), emask_uv)
+        if cap < 3:
+            continue
+        emask_u = smask & (smask >> u)
+        kill_u = kill[u]
+        cand_u = gapmask & (gapmask << u)
+        # above cap 3 a killed (0, u, v) still roots larger ideals, whose
+        # duals may have lost an end of the bad pair
+        for v in _bits(cand_u if cap > 3 else cand_u & ~kill_u):
+            emask_uv = emask_u & (smask >> v)
+            if not ((kill_u >> v) | (kill[v] >> u)) & 1 and _brick_dual_gens(
+                    emask_uv, smask, (u, v, v - u), table, m) is not None:
+                report((u, v))
+            if cap >= 4:
+                deeper((u, v), cand_u & (gapmask << v), emask_uv)
     return out
+
+
+def _kill_mask(emask, smask, delta, table, m, wanted):
+    """Decide the brick test for I = (0, delta) and build its kill mask.
+
+    Returns (is_brick, kill).  The minimal generators of the dual S - I are
+    extracted in order; a pair a < b of them is *bad* when b - a + delta or
+    |b - a - delta| is a member, which is exactly the kernel's rejection for
+    delta.  I is a brick iff the dual has at least two generators and no
+    bad pair.  Bit x of kill, for the offsets x in the mask wanted, is set
+    iff some bad pair (a, b) has a + x and b + x both members, i.e. both
+    stay in S - (0, delta, x).  The extraction stops at a bad pair once
+    every wanted bit is set, so with wanted = 0 it is the kernel's early
+    abort.
+
+    Lemma: for ideals I within I', S - I' lies within S - I, and a minimal
+    generator w of S - I that lies in S - I' is minimal there too: were
+    w = w' + s with w' in S - I' and s a nonzero member, then w' would lie
+    in S - I as well, contradicting the minimality of w.  Now let (a, b) be
+    a bad pair of S - (0, delta) with a and b both in S - I' for some I'
+    containing 0 and delta (so delta is a difference of two generators of
+    I').  By the lemma a and b are minimal generators of S - I'.  If
+    b - a + delta is a member, the generator sum b + delta lies in the coset
+    a + S; if e = |b - a - delta| is a member, one of the sums b and
+    a + delta lies in the other's coset (they coincide when e = 0).  Either
+    way mu(I' + (S - I')) < mu(I') * mu(S - I'), so (S, I') is no brick.
+    For I' = (0, delta, x) the two memberships are exactly bit x of kill.
+    """
+    gens: list[int] = []
+    bad = False
+    kill = 0
+    rest = emask
+    while rest:
+        w = (rest & -rest).bit_length() - 1
+        for wi in gens:
+            d = w - wi + delta
+            if d < table[d % m]:
+                d = w - wi - delta
+                if d < 0:
+                    d = -d
+                if d < table[d % m]:
+                    continue
+            if not wanted & ~kill:
+                return False, kill
+            bad = True
+            kill |= wanted & (smask >> w) & (smask >> wi)
+        gens.append(w)
+        rest &= ~(smask << w)
+    return not bad and len(gens) >= 2, kill
 
 
 def _brick_dual_gens(emask, smask, deltas, table, m):

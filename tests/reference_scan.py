@@ -1,0 +1,79 @@
+"""The unpruned per-semigroup scan, the reference for the pruned one in
+sgbricks.brickhunt.
+
+``reference_scan_semigroup`` runs the inlined brick kernel on every
+candidate ideal, with no kill masks.  Differential tests require the
+production scan to return exactly its reports.
+"""
+
+from __future__ import annotations
+
+import logging
+
+from sgbricks.brickhunt import BrickReport, _bits, _brick_dual_gens
+from sgbricks.errors import IntegerOverflowError
+from sgbricks.ideal import RelativeIdeal, brick_check
+from sgbricks.sgcore import NumericalSemigroup
+
+log = logging.getLogger(__name__)
+
+
+def reference_scan_semigroup(S: NumericalSemigroup,
+                             config) -> list[BrickReport]:
+    """Scan all candidate ideals of one semigroup.
+
+    The inner test is an exact inlined form of the brick condition:
+    mu(I + J) equals mu(I) * mu(J) iff the pairwise generator sums are
+    distinct and no difference of two sums is a member (the sums generate
+    I + J, and its minimal generating set is their greedy reduction).  Every
+    hit is re-validated through ideal.brick_check before being reported.
+    """
+    out: list[BrickReport] = []
+    frob = S.frobenius
+    top = frob - S.multiplicity
+    if frob < 0 or top < 1:
+        return out
+    cap = config.cap_for(len(S.min_gens))
+    limit = 2 * frob + 2 + top
+    smask = S.element_mask(limit)
+    gapmask = ~smask & ((1 << (top + 1)) - 1)
+    table = S.apery_table
+    m = S.multiplicity
+
+    def report(offsets: tuple[int, ...]) -> None:
+        ideal = RelativeIdeal._trusted(S, (0, *offsets))
+        try:
+            check = brick_check(S, ideal)
+        except IntegerOverflowError as exc:
+            log.warning("skipping pair %s / %s: %s",
+                        S.min_gens, ideal.min_gens, exc)
+            return
+        assert check.is_brick
+        if check.is_perfect or not config.perfect_only:
+            out.append(BrickReport.from_check(S, ideal, check))
+
+    def deeper(offsets: tuple[int, ...], cand: int, emask: int) -> None:
+        # generic extension for mu caps beyond 3
+        for x in _bits(cand):
+            ext = offsets + (x,)
+            ds = [b - a for a in (0, *ext) for b in ext if b > a]
+            sub = emask & (smask >> x)
+            if _brick_dual_gens(sub, smask, tuple(set(ds)), table, m) is not None:
+                report(ext)
+            if len(ext) + 1 < cap:
+                deeper(ext, cand & (gapmask << x), sub)
+
+    for u in _bits(gapmask):
+        emask_u = smask & (smask >> u)
+        if _brick_dual_gens(emask_u, smask, (u,), table, m) is not None:
+            report((u,))
+        if cap >= 3:
+            cand_u = gapmask & (gapmask << u)
+            for v in _bits(cand_u):
+                emask_uv = emask_u & (smask >> v)
+                if _brick_dual_gens(emask_uv, smask, (u, v, v - u),
+                                    table, m) is not None:
+                    report((u, v))
+                if cap >= 4:
+                    deeper((u, v), cand_u & (gapmask << v), emask_uv)
+    return out
