@@ -203,10 +203,13 @@ def _build_profile(a: tuple[int, int, int, int]) -> BalancedProfile:
     cs = a[0] + a[3]
     # the pair gcds are coprime, so their product divides the common sum
     cq, rem = divmod(cs, outer * inner)
-    assert rem == 0
     q = (a[0] // outer, a[1] // inner, a[2] // inner, a[3] // outer)
-    assert q[0] + q[3] == inner * cq and q[1] + q[2] == outer * cq
-    assert 1 < q[0] < q[3] and 1 < q[1] < q[2]
+    if (rem != 0
+            or q[0] + q[3] != inner * cq or q[1] + q[2] != outer * cq
+            or not (1 < q[0] < q[3] and 1 < q[1] < q[2])):
+        raise RuntimeError(
+            f"balanced quadruple {a} breaks its gcd quotient laws: "
+            f"quotients {q}, common sum {cs} = {cq} * {outer} * {inner} + {rem}")
     return BalancedProfile(
         gens=a,
         outer_gcd=outer,
@@ -263,7 +266,9 @@ def frobenius_of_triple(profile: BalancedProfile) -> int:
     value = (q1 - 2) * a1 + q2 * a3 + (q1 - 1) * a4
     # q2 * a3 == q3 * a2 (both equal lcm(a2, a3)), so the two equivalent
     # shapes of the formula agree
-    assert value == (q1 - 2) * a1 + q3 * a2 + (q1 - 1) * a4
+    if value != (q1 - 2) * a1 + q3 * a2 + (q1 - 1) * a4:
+        raise RuntimeError(
+            f"closed-form Frobenius shapes disagree for {profile.gens}")
     return value
 
 

@@ -38,7 +38,7 @@ from .errors import (
     ParentMismatchError,
     ZeroNotGeneratorError,
 )
-from .ideal import BrickCheck, RelativeIdeal, brick_check
+from .ideal import BrickCheck, RelativeIdeal, brick_check, dual_window
 from .sgcore import NumericalSemigroup
 
 TABLE_HEADER = "s_gens;i_gens;dual_gens;k;m;perfect;mult;frob"
@@ -201,6 +201,10 @@ def lift(S: NumericalSemigroup, I: RelativeIdeal) -> LiftResult:
     n = I.min_gens[1]
     b1, b3 = base.dual_ideal.min_gens
     quad = tuple(sorted((b1, b1 + n, b3, b3 + n)))
+    if quad == S.min_gens:
+        # the lifted pair is (S, I) itself, as for every unitary canonical
+        # brick, and base is its check
+        return LiftResult(quad, (0, n), base)
     lifted_s = NumericalSemigroup(quad)
     lifted_i = RelativeIdeal(lifted_s, (0, n))
     return LiftResult(quad, (0, n), brick_check(lifted_s, lifted_i))
@@ -283,8 +287,9 @@ def _scan_semigroup(S: NumericalSemigroup,
     if frob < 0 or top < 1:
         return out
     cap = config.cap_for(len(S.min_gens))
-    limit = 2 * frob + 2 + top
-    smask = S.element_mask(limit)
+    # offsets reach top, so the window also covers the kill masks' reads
+    # at x + w for x <= top and a dual generator w <= frobenius + m
+    smask = S.element_mask(dual_window(S, top))
     gapmask = ~smask & ((1 << (top + 1)) - 1)
     table = S.apery_table
     m = S.multiplicity

@@ -6,10 +6,13 @@ S - I = {z : z + I inside S} and the sum I + J are again relative ideals.
 The pair (S, I) multiplies like a brick when the minimal generating sets
 obey mu(I) * mu(S - I) = mu(I + (S - I)).
 
-The dual and sum computations run on integer bitsets.  The windows rely on
-two facts: any z above frobenius - min(I) belongs to the dual outright,
-and every minimal generator of a relative ideal J lies within frobenius of
-min(J) (anything further is covered by min(J) itself).
+The dual and sum computations run on integer bitsets whose window is
+frobenius + multiplicity past the ideal's span (dual_window).  Shift I so
+that min(I) = 0.  Then S - I lies in S and holds every integer above the
+Frobenius number F, and so does I + (S - I), which contains 0 + (S - I).
+A relative ideal J that holds every integer above F has no minimal
+generator above F + m: for such an x, x - m is above F, so it lies in J,
+and x lies in its coset.
 """
 
 from __future__ import annotations
@@ -38,12 +41,19 @@ class RelativeIdeal:
         for z in gens:
             if not isinstance(z, int):
                 raise InvalidInputError(f"offset {z!r} is not an integer")
-        kept: list[int] = []
-        for z in gens:
-            # z is redundant iff it lands in the coset of a smaller kept
-            # offset; differences with larger offsets are negative
-            if not any((z - w) in parent for w in kept):
-                kept.append(z)
+        # z is redundant iff it lands in the coset of a smaller kept offset.
+        # The least offset always stays, and covers every offset more than
+        # frobenius above it; bit z - lo of cover marks the covered offsets.
+        lo = gens[0]
+        rest = [z - lo for z in gens[1:] if z - lo <= parent.frobenius]
+        kept = [lo]
+        if rest:
+            smask = parent.element_mask(rest[-1])
+            cover = smask
+            for d in rest:
+                if not (cover >> d) & 1:
+                    kept.append(lo + d)
+                    cover |= smask << d
         self.parent = parent
         self.min_gens = tuple(kept)
 
@@ -65,29 +75,9 @@ class RelativeIdeal:
         return any((x - z) in self.parent for z in self.min_gens)
 
     def dual(self) -> "RelativeIdeal":
-        """The relative ideal of all z with z + (this ideal) inside the parent.
-
-        z qualifies iff z + offset is a member for every minimal offset; the
-        candidates live in [-min, frobenius - min] and everything above that
-        strip qualifies automatically.
-        """
-        S = self.parent
-        frob = S.frobenius
-        off = self.min_gens[0]
-        if frob < 0:
-            # parent is all non-negative integers: z + min >= 0 suffices
-            return RelativeIdeal._trusted(S, (-off,))
-        shifted = [z - off for z in self.min_gens]
-        span = shifted[-1]
-        # minimal dual generators (in 0-based offsets) sit below 2*frob + 2;
-        # the bitset must be complete that far even after the widest shift
-        limit = 2 * frob + 2 + span
-        smask = S.element_mask(limit)
-        emask = smask
-        for z in shifted[1:]:
-            emask &= smask >> z
-        gens = _mask_min_gens(emask, smask)
-        return RelativeIdeal._trusted(S, tuple(w - off for w in gens))
+        """The relative ideal of all z with z + (this ideal) inside the parent."""
+        off, _, _, gens = _shifted_dual(self)
+        return RelativeIdeal._trusted(self.parent, tuple(w - off for w in gens))
 
     def __add__(self, other: "RelativeIdeal") -> "RelativeIdeal":
         if not isinstance(other, RelativeIdeal):
@@ -140,27 +130,13 @@ def brick_check(S: NumericalSemigroup, I: RelativeIdeal) -> BrickCheck:
     if I.parent != S:
         raise ParentMismatchError("ideal does not belong to this semigroup")
     k = I.mu
-    frob = S.frobenius
-    if frob < 0:
-        dual = I.dual()
-        total = I + dual
-        return BrickCheck(k, dual.mu, total.mu, False, False, dual, total)
-
-    off = I.min_gens[0]
-    shifted = [z - off for z in I.min_gens]
-    span = shifted[-1]
-    limit = 2 * frob + 2 + span
-    smask = S.element_mask(limit)
-    emask = smask
-    for z in shifted[1:]:
-        emask &= smask >> z
-    dual_shifted = _mask_min_gens(emask, smask)
+    off, shifted, smask, dual_shifted = _shifted_dual(I)
     dual = RelativeIdeal._trusted(S, tuple(w - off for w in dual_shifted))
 
-    # I + (S - I) in 0-based offsets: the two shifts by off cancel.  Sums
-    # beyond the trusted strip are covered by the least sum and can be
-    # dropped before they touch the bitset.
-    trust = limit - span
+    # I + (S - I) in 0-based offsets: the two shifts by off cancel.  Its
+    # minimal generators sit within the trusted strip [0, F + m], and a sum
+    # beyond the strip adds no element inside it, so it is dropped.
+    trust = dual_window(S, 0)
     kmask = 0
     for z in shifted:
         for w in dual_shifted:
@@ -173,10 +149,36 @@ def brick_check(S: NumericalSemigroup, I: RelativeIdeal) -> BrickCheck:
 
     mu_dual = len(dual_shifted)
     mu_sum = len(total_gens)
-    assert mu_sum <= k * mu_dual
+    if mu_sum > k * mu_dual:
+        raise RuntimeError(
+            f"sum of {I!r} and its dual has {mu_sum} minimal generators, "
+            f"more than the {k} * {mu_dual} pairwise sums")
     is_brick = k >= 2 and k * mu_dual == mu_sum
     is_perfect = is_brick and total.min_gens == S.min_gens
     return BrickCheck(k, mu_dual, mu_sum, is_brick, is_perfect, dual, total)
+
+
+def dual_window(S: NumericalSemigroup, span: int) -> int:
+    """Highest bit an element bitset of S needs for the dual of an ideal
+    whose offsets, shifted to start at 0, reach up to span: every minimal
+    generator of the dual and of the ideal's sum with it is at most
+    frobenius + multiplicity, and the dual's bits there read the bitset
+    up to span further."""
+    return S.frobenius + S.multiplicity + span
+
+
+def _shifted_dual(I: RelativeIdeal) -> tuple[int, list[int], int, list[int]]:
+    # The dual of I - off, where off = min(I): returns off, the shifted
+    # offsets, the parent's element bitset and the dual's minimal generators
+    # in shifted terms (shift them back by -off).
+    S = I.parent
+    off = I.min_gens[0]
+    shifted = [z - off for z in I.min_gens]
+    smask = S.element_mask(dual_window(S, shifted[-1]))
+    emask = smask
+    for z in shifted[1:]:
+        emask &= smask >> z
+    return off, shifted, smask, _mask_min_gens(emask, smask)
 
 
 def _mask_min_gens(emask: int, smask: int) -> list[int]:

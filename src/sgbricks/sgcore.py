@@ -88,18 +88,20 @@ class NumericalSemigroup:
         # Members below the Frobenius number, one arithmetic progression of
         # step m per residue class.
         self.n_count = sum((frob - t + m - 1) // m for t in table if t < frob)
-        self.min_gens = tuple(a for a in gens if not self._is_sum_of_two(a))
+        # a is redundant iff a - b is a member for some smaller input b:
+        # were a = s + s' with s, s' nonzero members, s would be a sum of
+        # inputs below a, and any one of them serves as b
+        kept = []
+        for i, a in enumerate(gens):
+            for b in gens[:i]:
+                d = a - b
+                if d >= table[d % m]:
+                    break
+            else:
+                kept.append(a)
+        self.min_gens = tuple(kept)
         self._mask = 1
         self._mask_limit = 0
-
-    def _is_sum_of_two(self, a: int) -> bool:
-        # a is redundant iff it splits as s + s' with both parts nonzero
-        # members; the smaller part can be assumed <= a // 2.
-        m = self.multiplicity
-        for s in range(m, a // 2 + 1):
-            if s in self and (a - s) in self:
-                return True
-        return False
 
     def __contains__(self, x: int) -> bool:
         if x < 0:
@@ -123,20 +125,33 @@ class NumericalSemigroup:
         """Bitset of members: bit i is set iff i is a member, complete through
         bit ``limit``.  Higher bits, when present from a larger cached build,
         are correct memberships as well.
+
+        Only the bits through the Frobenius number need saturating under the
+        generators; every bit above it is a member and is set in one OR.
         """
         if limit < 0:
             return 0
-        if limit > self._mask_limit:
-            clip = (1 << (limit + 1)) - 1
-            mask = 1
-            for a in self.min_gens:
-                step = a
-                while step <= limit:
-                    mask |= (mask << step) & clip
-                    step <<= 1
+        # the limit is read before the mask and written after it, so a
+        # racing builder can only hand over a mask complete further out
+        have = self._mask_limit
+        mask = self._mask
+        if limit > have:
+            frob = self.frobenius
+            if have < frob:
+                # saturating a subset of the members that holds 0 yields
+                # every member, so the cached bits are a valid start
+                top = min(limit, frob)
+                clip = (1 << (top + 1)) - 1
+                for a in self.min_gens:
+                    step = a
+                    while step <= top:
+                        mask |= (mask << step) & clip
+                        step <<= 1
+            if limit > frob:
+                mask |= (1 << (limit + 1)) - (1 << (frob + 1))
             self._mask = mask
             self._mask_limit = limit
-        return self._mask
+        return mask
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NumericalSemigroup):
@@ -189,5 +204,7 @@ def _least_residue_table(gens: list[int], m: int) -> list[int]:
                 dist[r2] = nd
                 heapq.heappush(heap, (nd, r2))
     # gcd(gens) == 1 makes every residue reachable
-    assert unset not in dist
+    if unset in dist:
+        raise RuntimeError(
+            f"residue {dist.index(unset)} mod {m} unreachable from {gens}")
     return dist

@@ -249,6 +249,27 @@ def test_criterion_09_property_suite():
                f"min={minimality_violations}")
 
 
+def test_unitary_semigroups_have_divisorial_ideals(corpus200):
+    # a symmetric semigroup makes every relative ideal divisorial
+    # (Barucci-Dobbs-Fontana, Mem. AMS 598, 1997): S - (S - I) == I.
+    # Criterion 4 shows the unitary corpus is symmetric, and its Frobenius
+    # numbers run far above the multiplicity, so these double duals
+    # exercise the F + m dual window on large F.
+    rng = random.Random(31337)
+    failures = []
+    for p in corpus200:
+        S = p.semigroup()
+        F = S.frobenius
+        assert S.is_symmetric(), p.gens
+        shapes = [(0, p.shift), (0, 1), (-5, 3, F + 7), (0, F // 3, F // 2)]
+        shapes += [rng.sample(range(-F, 2 * F), rng.randint(1, 4)) for _ in range(2)]
+        for offsets in shapes:
+            I = RelativeIdeal(S, offsets)
+            if I.dual().dual() != I:
+                failures.append((p.gens, I.min_gens))
+    assert not failures, failures[:5]
+
+
 def test_criterion_10_lift_experiment(t4_reports_w8, t5_reports_w8):
     two_by_two = [r for r in list(t4_reports_w8) + list(t5_reports_w8)
                   if (r.k, r.m) == (2, 2)]

@@ -132,8 +132,13 @@ def test_enumerate_ideals_bounds_and_minimality():
 
 # ----------------------------------------------------------------- search
 
-def test_search_small_golden():
-    reports = search(SearchConfig(t_min=4, t_max=4, gen_max=27))
+@pytest.fixture(scope="module")
+def t4_gen27_reports():
+    return search(SearchConfig(t_min=4, t_max=4, gen_max=27))
+
+
+def test_search_small_golden(t4_gen27_reports):
+    reports = t4_gen27_reports
     hit = [r for r in reports if r.s_gens == (10, 15, 18, 27) and r.i_gens == (0, 2)]
     assert len(hit) == 1
     r = hit[0]
@@ -143,8 +148,8 @@ def test_search_small_golden():
     assert r.multiplicity == 10
 
 
-def test_search_ordering_and_soundness():
-    reports = search(SearchConfig(t_min=4, t_max=4, gen_max=27))
+def test_search_ordering_and_soundness(t4_gen27_reports):
+    reports = t4_gen27_reports
     keys = [(r.s_gens, r.i_gens) for r in reports]
     assert keys == sorted(keys)
     assert len(keys) == len(set(keys))
@@ -166,11 +171,9 @@ def test_search_empty_below_multiplicity_nine():
     assert search(SearchConfig(t_min=2, t_max=5, gen_max=8)) == []
 
 
-def test_search_perfect_only_filter():
+def test_search_perfect_only_filter(t4_gen27_reports):
     cfg = SearchConfig(t_min=4, t_max=4, gen_max=27, perfect_only=True)
-    perfect = search(cfg)
-    full = search(SearchConfig(t_min=4, t_max=4, gen_max=27))
-    assert perfect == [r for r in full if r.perfect]
+    assert search(cfg) == [r for r in t4_gen27_reports if r.perfect]
 
 
 def test_search_deterministic_across_workers():

@@ -1,7 +1,8 @@
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sgbricks.errors import EmptyInputError, ParentMismatchError
@@ -10,6 +11,7 @@ from sgbricks.sgcore import NumericalSemigroup
 
 from oracles import (
     brute_dual_elements,
+    brute_frobenius,
     brute_minimal_generators,
     coset_union,
     sieve_members,
@@ -261,3 +263,70 @@ def test_hypothesis_sum_against_membership(gens, offsets):
     for x in range(0, S.frobenius + max(offsets) + 5):
         direct = any((x - a - b) in S for a in I.min_gens for b in D.min_gens)
         assert (x in K) == direct
+
+
+# ------------------------------------------- windows against the oracles
+
+def _oracle_ideal_gens(sgens, offsets):
+    return brute_minimal_generators(
+        sgens, coset_union(sgens, offsets, min(offsets), max(offsets)))
+
+
+def _check_against_oracle(sgens, offsets):
+    # every generator set comes from element sets alone, over windows wider
+    # than the package's frobenius + multiplicity bound
+    S = NumericalSemigroup(sgens)
+    I = RelativeIdeal(S, offsets)
+    igens = _oracle_ideal_gens(sgens, offsets)
+    assert I.min_gens == igens
+    frob = brute_frobenius(sgens)
+    lo = -igens[0] - 1
+    hi = frob + max(sgens) + 1 - igens[0]
+    dual_elems = brute_dual_elements(sgens, igens, lo, hi)
+    dual_gens = brute_minimal_generators(sgens, dual_elems)
+    sum_gens = _oracle_ideal_gens(sgens, [a + b for a in igens for b in dual_gens])
+    D = I.dual()
+    assert D.min_gens == dual_gens
+    assert {z for z in range(lo, hi + 1) if z in D} == dual_elems
+    assert (I + D).min_gens == sum_gens
+    chk = brick_check(S, I)
+    assert chk.dual_ideal.min_gens == dual_gens
+    assert chk.sum_ideal.min_gens == sum_gens
+    assert (chk.mu_ideal, chk.mu_dual, chk.mu_sum) == (
+        len(igens), len(dual_gens), len(sum_gens))
+    assert chk.is_perfect == (chk.is_brick and sum_gens == S.min_gens)
+
+
+@pytest.mark.parametrize("sgens", [
+    (14, 15, 20, 21), (18, 20, 25, 27), (22, 25, 30, 33),  # unitary family
+    (3, 50), (5, 37, 41), (7, 60, 61),
+], ids=str)
+def test_dual_and_brick_check_when_frobenius_dwarfs_multiplicity(sgens):
+    frob = brute_frobenius(sgens)
+    m = min(sgens)
+    for offsets in [(0, 1), (0, sgens[1] - sgens[0]), (-7, 3, frob + 5),
+                    (-frob, 0, 2 * frob + 1), (2, frob - 1), (0, frob - m),
+                    (-3 * frob, -frob - 1, 1, frob + m)]:
+        _check_against_oracle(sgens, offsets)
+
+
+near_frobenius = st.integers(3, 20).flatmap(lambda m: st.tuples(
+    st.just(m), st.sets(st.integers(m + 1, 2 * m + 1), min_size=1)))
+
+
+@given(near_frobenius, st.lists(st.integers(-60, 90), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_dual_and_brick_check_when_multiplicity_nears_frobenius(shape, offsets):
+    # generators packed into (m, 2m + 1] keep the Frobenius number below
+    # 2m + 1; offsets are negative and reach far past the window
+    m, rest = shape
+    sgens = (m, *sorted(rest))
+    assume(math.gcd(*sgens) == 1)
+    _check_against_oracle(sgens, offsets)
+
+
+@given(small_gens, st.lists(st.integers(-40, 80), min_size=1, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_reduction_matches_oracle(gens, offsets):
+    S = NumericalSemigroup(gens)
+    assert RelativeIdeal(S, offsets).min_gens == _oracle_ideal_gens(S.min_gens, offsets)

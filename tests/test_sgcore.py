@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +23,8 @@ from oracles import (
     brute_n_count,
     sieve_members,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ---------------------------------------------------------------- goldens
@@ -219,3 +227,93 @@ def test_symmetry_characterization(gens):
         return
     mirrored = all((x in S) != ((g - x) in S) for x in range(g + 1))
     assert S.is_symmetric() == mirrored
+
+
+def _sieve_mask(gens, limit):
+    members = sieve_members(gens, limit)
+    return sum(1 << i for i, ok in enumerate(members) if ok)
+
+
+@given(gen_lists, st.lists(st.integers(0, 6), min_size=1, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_element_mask_grown_in_steps_matches_fresh_build(gens, picks):
+    # one cached mask grown below, at and past the Frobenius number, in any
+    # order of requests, always equals a fresh build and the sieve through
+    # the requested bit, and every bit it holds is a member
+    S = NumericalSemigroup(gens)
+    F, m = S.frobenius, S.multiplicity
+    menu = [F // 2, F - 1, F, F + 1, F + m, 2 * F + 3 * m + 5, 1]
+    for pick in picks:
+        limit = menu[pick]
+        mask = S.element_mask(limit)
+        if limit < 0:
+            assert mask == 0
+            continue
+        clip = (1 << (limit + 1)) - 1
+        assert mask & clip == NumericalSemigroup(gens).element_mask(limit) & clip
+        assert mask & clip == _sieve_mask(gens, limit)
+        assert mask & ~_sieve_mask(gens, mask.bit_length()) == 0
+
+
+@given(gen_lists, st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                                     st.integers(1, 3)), max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_min_gens_drop_redundant_inputs(gens, combos):
+    # padded with sums and multiples of the inputs, the generating set still
+    # reduces to the oracle's minimal one
+    extra = [gens[i % len(gens)] + k * gens[j % len(gens)] for i, j, k in combos]
+    S = NumericalSemigroup(gens + extra)
+    assert S.min_gens == brute_min_gens(gens)
+    assert S.min_gens == NumericalSemigroup(gens).min_gens
+
+
+def test_internal_checks_raise_under_optimize():
+    # the invariant checks in sgcore, ideal and balanced are explicit
+    # errors, so python -O keeps them
+    script = textwrap.dedent("""
+        import dataclasses
+        import sys
+        from sgbricks import balanced, ideal, sgcore
+        if __debug__:
+            sys.exit(5)
+        raised = []
+
+        def expect(call, *args):
+            try:
+                call(*args)
+            except RuntimeError as exc:
+                raised.append(str(exc))
+
+        # a generating set with gcd 2 leaves odd residues unreachable
+        expect(sgcore._least_residue_table, [4, 6], 4)
+        # a sum extraction that invents generators breaks mu_sum <= k * mu_dual
+        real = ideal._mask_min_gens
+        calls = []
+
+        def inflated(emask, smask):
+            calls.append(emask)
+            return real(emask, smask) if len(calls) == 1 else list(range(50))
+        ideal._mask_min_gens = inflated
+        S = sgcore.NumericalSemigroup([10, 11, 13, 17, 19])
+        expect(ideal.brick_check, S, ideal.RelativeIdeal(S, [2, 5]))
+        ideal._mask_min_gens = real
+        # 10 + 27 != 15 + 18: the gcd quotient laws fail
+        expect(balanced._build_profile, (10, 15, 18, 27))
+        profile = balanced.classify((14, 15, 20, 21)).profile
+        q = profile.quotients
+        bent = dataclasses.replace(profile, quotients=(q[0], q[1] + 1, q[2], q[3]))
+        expect(balanced.frobenius_of_triple, bent)
+        for message in raised:
+            print(message)
+        sys.exit(7 if len(raised) == 4 else 6)
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 7, proc.stdout + proc.stderr
+    assert "unreachable from [4, 6]" in proc.stdout
+    assert "more than the 2 * 5 pairwise sums" in proc.stdout
+    assert "breaks its gcd quotient laws" in proc.stdout
+    assert "closed-form Frobenius shapes disagree" in proc.stdout
