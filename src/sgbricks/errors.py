@@ -64,3 +64,9 @@ class ZeroNotGeneratorError(DomainError):
     """A lift was requested for an ideal whose least generator is not 0."""
 
     code = "zero-not-generator"
+
+
+class ResourceLimitError(DomainError):
+    """An input whose tables or bitsets would exceed a documented budget."""
+
+    code = "resource-limit"

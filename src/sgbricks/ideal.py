@@ -12,7 +12,8 @@ that min(I) = 0.  Then S - I lies in S and holds every integer above the
 Frobenius number F, and so does I + (S - I), which contains 0 + (S - I).
 A relative ideal J that holds every integer above F has no minimal
 generator above F + m: for such an x, x - m is above F, so it lies in J,
-and x lies in its coset.
+and x lies in its coset.  The sum I + (S - I) is the union of the dual's
+element bitset shifted by each generator of I.
 """
 
 from __future__ import annotations
@@ -130,21 +131,17 @@ def brick_check(S: NumericalSemigroup, I: RelativeIdeal) -> BrickCheck:
     if I.parent != S:
         raise ParentMismatchError("ideal does not belong to this semigroup")
     k = I.mu
-    off, shifted, smask, dual_shifted = _shifted_dual(I)
+    off, shifted, dmask, dual_shifted = _shifted_dual(I)
     dual = RelativeIdeal._trusted(S, tuple(w - off for w in dual_shifted))
 
-    # I + (S - I) in 0-based offsets: the two shifts by off cancel.  Its
-    # minimal generators sit within the trusted strip [0, F + m], and a sum
-    # beyond the strip adds no element inside it, so it is dropped.
-    trust = dual_window(S, 0)
+    # I + (S - I) in 0-based offsets (the two shifts by off cancel) is the
+    # union of the dual shifted by each offset of I.  The dual's bitset is
+    # complete through the trusted strip [0, F + m], which holds every
+    # minimal generator of the sum.
     kmask = 0
     for z in shifted:
-        for w in dual_shifted:
-            s = z + w
-            if s <= trust:
-                kmask |= smask << s
-    kmask &= (1 << (trust + 1)) - 1
-    total_gens = _mask_min_gens(kmask, smask)
+        kmask |= dmask << z
+    total_gens = _mask_min_gens(kmask, S)
     total = RelativeIdeal._trusted(S, tuple(total_gens))
 
     mu_dual = len(dual_shifted)
@@ -169,8 +166,8 @@ def dual_window(S: NumericalSemigroup, span: int) -> int:
 
 def _shifted_dual(I: RelativeIdeal) -> tuple[int, list[int], int, list[int]]:
     # The dual of I - off, where off = min(I): returns off, the shifted
-    # offsets, the parent's element bitset and the dual's minimal generators
-    # in shifted terms (shift them back by -off).
+    # offsets, the dual's element bitset (complete through F + m) and its
+    # minimal generators in shifted terms (shift them back by -off).
     S = I.parent
     off = I.min_gens[0]
     shifted = [z - off for z in I.min_gens]
@@ -178,17 +175,22 @@ def _shifted_dual(I: RelativeIdeal) -> tuple[int, list[int], int, list[int]]:
     emask = smask
     for z in shifted[1:]:
         emask &= smask >> z
-    return off, shifted, smask, _mask_min_gens(emask, smask)
+    return off, shifted, emask, _mask_min_gens(emask, S)
 
 
-def _mask_min_gens(emask: int, smask: int) -> list[int]:
-    # Greedy extraction: the least remaining element is always a minimal
-    # generator; clearing its coset removes everything it covers and never
-    # touches another minimal generator.  Callers guarantee the element
-    # bitset is genuine and complete through the last minimal generator.
-    gens: list[int] = []
-    while emask:
-        z = (emask & -emask).bit_length() - 1
-        gens.append(z)
-        emask &= ~(smask << z)
+def _mask_min_gens(emask: int, S: NumericalSemigroup) -> list[int]:
+    # The minimal generators of a relative ideal J of S with J inside S and
+    # holding every integer above F, from its element bitset (complete
+    # through the trusted strip [0, F + m], which holds them all): x is one
+    # iff x is in J and x - a is not, for every minimal generator a of S.
+    emask &= (1 << (dual_window(S, 0) + 1)) - 1
+    cover = 0
+    for a in S.min_gens:
+        cover |= emask << a
+    gmask = emask & ~cover
+    gens = []
+    while gmask:
+        low = gmask & -gmask
+        gens.append(low.bit_length() - 1)
+        gmask ^= low
     return gens

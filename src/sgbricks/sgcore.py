@@ -3,13 +3,23 @@
 A numerical semigroup is a subset of the non-negative integers that contains
 0, is closed under addition, and misses only finitely many integers.  The
 constructor precomputes the table of least members per residue class modulo
-the multiplicity, which makes membership, the Frobenius number and the
+the multiplicity m, which makes membership, the Frobenius number and the
 element counts O(1) afterwards.
+
+The table takes O(t * m) steps for t generators, by the round-robin
+algorithm of Boecker and Liptak ("A fast and simple algorithm for the money
+changing problem", Algorithmica 48, 2007).  The gap count follows from the
+sum of the table by Selmer's formula (Rosales and Garcia-Sanchez, Numerical
+Semigroups, Springer 2009, ch. 2).
+
+Two budgets keep absurd inputs from exhausting memory: a multiplicity above
+MAX_MULTIPLICITY and an element bitset of more than MAX_MASK_BITS bits raise
+ResourceLimitError (a DomainError, exit 3 in the CLI) before anything of
+that size is allocated.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Iterable
 
@@ -18,9 +28,17 @@ from .errors import (
     IntegerOverflowError,
     InvalidInputError,
     NonCoprimeError,
+    ResourceLimitError,
 )
 
 INT64_MAX = 2**63 - 1
+# Budgets on memory: the table holds m entries, and an element bitset of
+# MAX_MASK_BITS bits takes 8 MiB.  The tests and the benchmark stay far
+# below both: their largest multiplicity is 1,582 and their largest bitset
+# has 784,866 bits (the family member (1582, 1975, 1980, 2373), whose
+# Frobenius number is 782,891).
+MAX_MULTIPLICITY = 2**16
+MAX_MASK_BITS = 2**26
 
 
 class NumericalSemigroup:
@@ -79,15 +97,17 @@ class NumericalSemigroup:
         if m * gens[-1] > INT64_MAX:
             raise IntegerOverflowError(
                 "apery table entries would exceed the signed 64-bit range")
+        if m > MAX_MULTIPLICITY:
+            raise ResourceLimitError(
+                f"multiplicity {m} exceeds the bound of {MAX_MULTIPLICITY}")
 
         table = _least_residue_table(gens, m)
         self.multiplicity = m
         self.apery_table = tuple(table)
-        self.frobenius = max(table) - m
-        frob = self.frobenius
-        # Members below the Frobenius number, one arithmetic progression of
-        # step m per residue class.
-        self.n_count = sum((frob - t + m - 1) // m for t in table if t < frob)
+        self.frobenius = frob = max(table) - m
+        # Selmer: the table sum exceeds 0 + 1 + ... + (m - 1) by m per gap,
+        # and every gap lies in [0, frob]
+        self.n_count = frob + 1 - (sum(table) - m * (m - 1) // 2) // m
         # a is redundant iff a - b is a member for some smaller input b:
         # were a = s + s' with s, s' nonzero members, s would be a sum of
         # inputs below a, and any one of them serves as b
@@ -128,9 +148,16 @@ class NumericalSemigroup:
 
         Only the bits through the Frobenius number need saturating under the
         generators; every bit above it is a member and is set in one OR.
+
+        Raises ResourceLimitError, before allocating, when the bitset would
+        have more than MAX_MASK_BITS bits.
         """
         if limit < 0:
             return 0
+        if limit >= MAX_MASK_BITS:
+            raise ResourceLimitError(
+                f"an element bitset of {limit + 1} bits exceeds the budget "
+                f"of {MAX_MASK_BITS} bits")
         # the limit is read before the mask and written after it, so a
         # racing builder can only hand over a mask complete further out
         have = self._mask_limit
@@ -176,33 +203,46 @@ def coprime_pair_frobenius(a: int, b: int) -> int:
 
 
 def _least_residue_table(gens: list[int], m: int) -> list[int]:
-    # Least member per residue class mod m, by shortest-path relaxation on
-    # the residue cycle: an edge r -> (r + a) % m of weight a per generator.
-    # Generators that are multiples of m never improve anything and are
-    # dropped; among generators sharing a residue only the smallest matters.
-    best_step: dict[int, int] = {}
-    for a in gens[1:]:
-        r = a % m
-        if r == 0:
-            continue
-        if r not in best_step or a < best_step[r]:
-            best_step[r] = a
-    steps = sorted(best_step.values())
-
+    # Least member per residue class mod m, one generator at a time
+    # (Boecker and Liptak's round robin).  Adding a generator a of residue
+    # k = a % m splits the classes into gcd(k, m) cycles r -> (r + k) % m.
+    # Walking a cycle once from its least entry n, n = min(n + a, next
+    # entry) at each step is final.  Multiples of m never improve an entry,
+    # and among generators sharing a residue only the smallest, the first
+    # in the ascending gens, matters.
     unset = m * gens[-1] + 1
     dist = [unset] * m
     dist[0] = 0
-    heap = [(0, 0)]
-    while heap:
-        d, r = heapq.heappop(heap)
-        if d > dist[r]:
+    seen = {0}
+    for a in gens:
+        k = a % m
+        if k in seen:
             continue
-        for a in steps:
-            nd = d + a
-            r2 = (r + a) % m
-            if nd < dist[r2]:
-                dist[r2] = nd
-                heapq.heappush(heap, (nd, r2))
+        seen.add(k)
+        d = math.gcd(k, m)
+        length = m // d
+        if len(seen) == 2:
+            # from the table {0: 0} alone, the one reachable cycle is the
+            # one through 0, and it holds i * a for every i below its length
+            for n in range(a, a * length, a):
+                dist[n % m] = n
+            continue
+        for p in range(d):
+            cycle = dist[p::d]
+            n = min(cycle)
+            if n == unset:
+                continue
+            r = p + d * cycle.index(n)
+            for _ in range(length - 1):
+                r += k
+                if r >= m:
+                    r -= m
+                n += a
+                v = dist[r]
+                if n < v:
+                    dist[r] = n
+                else:
+                    n = v
     # gcd(gens) == 1 makes every residue reachable
     if unset in dist:
         raise RuntimeError(

@@ -227,6 +227,17 @@ def test_domain_error_exit(capsys):
                    "the complement would be infinite\n")
 
 
+def test_resource_guards_exit(capsys):
+    # refused before the table or the bitset is allocated
+    code, out, err = invoke(capsys, "dual", "100003", "100019", "--", "0", "1")
+    assert code == 3 and out == ""
+    assert err == ("error: resource-limit: multiplicity 100003 exceeds the "
+                   "bound of 65536\n")
+    code, out, err = invoke(capsys, "dual", "10007", "10009", "--", "0", "1")
+    assert code == 3 and out == ""
+    assert err.startswith("error: resource-limit: an element bitset of ")
+
+
 def test_lift_domain_error(capsys):
     code, _, err = invoke(capsys, "lift", "10", "11", "13", "17", "19",
                           "--", "2", "5")

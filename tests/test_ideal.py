@@ -6,7 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sgbricks.errors import EmptyInputError, ParentMismatchError
-from sgbricks.ideal import RelativeIdeal, brick_check, maximal_ideal
+from sgbricks.ideal import (
+    RelativeIdeal,
+    _mask_min_gens,
+    brick_check,
+    maximal_ideal,
+)
 from sgbricks.sgcore import NumericalSemigroup
 
 from oracles import (
@@ -330,3 +335,30 @@ def test_dual_and_brick_check_when_multiplicity_nears_frobenius(shape, offsets):
 def test_reduction_matches_oracle(gens, offsets):
     S = NumericalSemigroup(gens)
     assert RelativeIdeal(S, offsets).min_gens == _oracle_ideal_gens(S.min_gens, offsets)
+
+
+@pytest.mark.parametrize("sgens,offsets", [
+    (tuple(range(25, 50)), (0, 1)),
+    ((22, 23, 25, 26, 31, 33, 37, 39, 41), (0, 4, 5)),
+    ((29, 30, 32, 33, 34, 37, 41, 43, 50, 51, 53, 56, 57), (0, 10, 14)),
+    ((32, 33, 34, 37, 38, 39, 41, 42, 45, 47, 59, 61, 62), (0, 18, 22)),
+], ids=str)
+def test_mask_min_gens_on_duals_with_many_generators(sgens, offsets):
+    # the bitset extraction against the oracle, on element sets the oracle
+    # builds through the strip [0, F + m]: the dual of an ideal whose least
+    # offset is 0, and its sum with the ideal
+    S = NumericalSemigroup(sgens)
+    top = brute_frobenius(sgens) + min(sgens)
+    dual_elems = brute_dual_elements(sgens, offsets, 0, top)
+    dual_gens = brute_minimal_generators(sgens, dual_elems)
+    assert len(dual_gens) >= 20
+    sums = [a + b for a in offsets for b in dual_gens]
+    sum_elems = coset_union(sgens, sums, 0, top)
+    assert len(brute_minimal_generators(sgens, sum_elems)) >= 20
+    for elems in (dual_elems, sum_elems):
+        mask = sum(1 << x for x in elems)
+        want = list(brute_minimal_generators(sgens, elems))
+        assert _mask_min_gens(mask, S) == want
+        # a member past the strip whose neighbours below are missing, as in
+        # a bitset built only through the strip, is no generator
+        assert _mask_min_gens(mask | 1 << (top + 3), S) == want

@@ -1,20 +1,29 @@
+import math
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sgbricks.errors import (
+    DomainError,
     EmptyInputError,
     IntegerOverflowError,
     InvalidInputError,
     NonCoprimeError,
+    ResourceLimitError,
 )
-from sgbricks.sgcore import NumericalSemigroup, coprime_pair_frobenius
+from sgbricks.sgcore import (
+    MAX_MASK_BITS,
+    MAX_MULTIPLICITY,
+    NumericalSemigroup,
+    coprime_pair_frobenius,
+)
 
 from oracles import (
     brute_apery,
@@ -267,6 +276,118 @@ def test_min_gens_drop_redundant_inputs(gens, combos):
     assert S.min_gens == NumericalSemigroup(gens).min_gens
 
 
+# ----------------------------------------- construction at realistic sizes
+
+def _assert_matches_oracles(gens):
+    S = NumericalSemigroup(gens)
+    assert list(S.apery_set()) == brute_apery(gens)
+    assert S.frobenius == brute_frobenius(gens)
+    assert S.n_count == brute_n_count(gens)
+    assert S.min_gens == brute_min_gens(gens)
+
+
+@pytest.mark.parametrize("gens", [
+    # inputs that are multiples of the multiplicity
+    (120, 240, 263, 301, 360),
+    (199, 200, 398, 597),
+    # inputs sharing a residue mod the multiplicity
+    (150, 157, 211, 307, 457),
+    (97, 101, 198, 295, 392),
+    # gcd(a % m, m) > 1 for the first input off the multiples of m, so the
+    # closed-form seed fills one cycle of several; 255 then walks 15 cycles,
+    # of which only those through a seeded residue are reachable yet
+    (180, 190, 255, 397),
+    (200, 210, 331),
+    (196, 210, 238, 393, 589),
+    # several of the above at once
+    (168, 196, 336, 364, 425, 461),
+], ids=str)
+def test_construction_matches_oracles_at_realistic_sizes(gens):
+    _assert_matches_oracles(gens)
+
+
+@st.composite
+def realistic_gen_lists(draw):
+    # multiplicity up to 200.  The second input shares a factor with m, so
+    # the seed may cover only some residue cycles; the others may be
+    # multiples of m or repeat a residue mod m.
+    m = draw(st.integers(2, 200))
+    factor = draw(st.sampled_from([q for q in range(1, m) if m % q == 0]))
+    first = factor * draw(st.integers(m // factor + 1, 3 * m // factor))
+    rest = draw(st.lists(st.integers(m + 1, 2 * m), min_size=1, max_size=3))
+    extra = draw(st.lists(st.sampled_from(["multiple", "repeat"]), max_size=2))
+    gens = [m, first, *rest]
+    for kind in extra:
+        gens.append(2 * m if kind == "multiple" else rest[0] + m)
+    assume(math.gcd(*gens) == 1)
+    return gens
+
+
+@given(realistic_gen_lists())
+@settings(max_examples=60, deadline=None)
+def test_construction_matches_oracles_hypothesis(gens):
+    _assert_matches_oracles(gens)
+
+
+@pytest.mark.parametrize("a,b", [
+    (1000, 1001), (1009, 1999), (1024, 1537), (1582, 1975), (4001, 4003),
+], ids=str)
+def test_two_generators_at_large_multiplicity(a, b):
+    # the closed forms for two coprime generators: F = ab - a - b, the
+    # Apery set {0, b, ..., (a - 1) b}, and symmetry, so exactly half of
+    # [0, F] are members
+    S = NumericalSemigroup([a, b])
+    assert S.min_gens == (a, b)
+    assert S.frobenius == coprime_pair_frobenius(a, b)
+    assert S.apery_set() == tuple(i * b for i in range(a))
+    assert S.n_count == (S.frobenius + 1) // 2
+    assert S.is_symmetric()
+
+
+# ------------------------------------------------------------ resource guard
+
+def test_resource_limit_error_is_a_domain_error():
+    assert issubclass(ResourceLimitError, DomainError)
+    assert ResourceLimitError.code == "resource-limit"
+
+
+def test_multiplicity_bound_raises_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="multiplicity 100003"):
+            NumericalSemigroup([100003, 100019])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    NumericalSemigroup([MAX_MULTIPLICITY, MAX_MULTIPLICITY + 1])
+    with pytest.raises(ResourceLimitError):
+        NumericalSemigroup([MAX_MULTIPLICITY + 1, MAX_MULTIPLICITY + 2])
+
+
+def test_mask_budget_raises_before_allocating():
+    # F = 10007 * 10009 - 10007 - 10009 is about 1.5 times the budget
+    S = NumericalSemigroup([10007, 10009])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="element bitset"):
+            S.element_mask(S.frobenius)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    with pytest.raises(ResourceLimitError):
+        S.element_mask(MAX_MASK_BITS)
+    assert S.element_mask(MAX_MASK_BITS - 1).bit_length() == MAX_MASK_BITS
+    assert S.element_mask(-1) == 0
+
+
+def test_overflow_guard_comes_before_the_budgets():
+    # the product check keeps its own error for inputs both would reject
+    with pytest.raises(IntegerOverflowError):
+        NumericalSemigroup([2**40, 2**40 + 1, 2**23 + 1])
+
+
 def test_internal_checks_raise_under_optimize():
     # the invariant checks in sgcore, ideal and balanced are explicit
     # errors, so python -O keeps them
@@ -290,9 +411,9 @@ def test_internal_checks_raise_under_optimize():
         real = ideal._mask_min_gens
         calls = []
 
-        def inflated(emask, smask):
+        def inflated(emask, S):
             calls.append(emask)
-            return real(emask, smask) if len(calls) == 1 else list(range(50))
+            return real(emask, S) if len(calls) == 1 else list(range(50))
         ideal._mask_min_gens = inflated
         S = sgcore.NumericalSemigroup([10, 11, 13, 17, 19])
         expect(ideal.brick_check, S, ideal.RelativeIdeal(S, [2, 5]))
