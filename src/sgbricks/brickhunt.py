@@ -1,7 +1,9 @@
 """Exhaustive search for brick pairs over bounded generator spaces.
 
-Semigroups are enumerated by ascending candidate tuples, keeping exactly the
-tuples that are minimal generating sets with gcd 1.  For each semigroup the
+Semigroups come from one walk of the pruned tree of generator tuples
+(_minimal_tuples): a tuple grows only by integers its prefix cannot already
+reach, so every tuple in the tree is a minimal generating set, and the ones
+with gcd 1 are the semigroups, in lexicographic order.  For each semigroup the
 candidate ideals contain 0 plus nonzero offsets up to frobenius minus
 multiplicity, with at most 1 + t // 2 generators for a t-generated
 semigroup, emitted only when the tuple is already minimal.  Candidates that
@@ -17,9 +19,10 @@ rules out every larger ideal whose dual still holds both ends, and these
 rulings become one bitmask per gap (see _kill_mask).  The pruning is exact:
 the tests compare the scan with the unpruned one over whole spaces.
 
-The search fans whole chunks of candidate tuples out to worker processes;
-workers own their result lists and a final sort by (semigroup, ideal)
-generators makes the output independent of scheduling.
+The search cuts that walk into chunks of 512 generator tuples and fans them
+out to worker processes, which construct and scan each semigroup; workers
+own their result lists and a final sort by (semigroup, ideal) generators
+makes the output independent of scheduling.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .errors import (
     ParentMismatchError,
     ZeroNotGeneratorError,
 )
-from .ideal import BrickCheck, RelativeIdeal, brick_check, dual_window
+from .ideal import BrickCheck, RelativeIdeal, _bits, brick_check, dual_window
 from .sgcore import NumericalSemigroup
 
 TABLE_HEADER = "s_gens;i_gens;dual_gens;k;m;perfect;mult;frob"
@@ -115,23 +118,7 @@ class LiftResult:
 def enumerate_semigroups(config: SearchConfig) -> Iterator[NumericalSemigroup]:
     """Each semigroup whose minimal generating set fits the bounds, exactly
     once, in lexicographic order of that set."""
-    bound = config.gen_max
-    clip = (1 << (bound + 1)) - 1
-
-    def extend(prefix: tuple[int, ...], reach: int) -> Iterator[NumericalSemigroup]:
-        if len(prefix) >= config.t_min and math.gcd(*prefix) == 1:
-            yield NumericalSemigroup(prefix)
-        if len(prefix) == config.t_max:
-            return
-        start = prefix[-1] + 1 if prefix else 2
-        for x in range(start, bound + 1):
-            if (reach >> x) & 1:
-                # x is a combination of the prefix: redundant in every
-                # extension, prune the whole subtree
-                continue
-            yield from extend(prefix + (x,), _saturate(reach, x, bound, clip))
-
-    yield from extend((), 1)
+    return map(NumericalSemigroup, _minimal_tuples(config))
 
 
 def enumerate_ideals(S: NumericalSemigroup,
@@ -166,7 +153,9 @@ def search(config: SearchConfig) -> list[BrickReport]:
     """Run brick_check over every (semigroup, ideal) pair in the space and
     collect the bricks, ordered by (s_gens, i_gens) regardless of worker
     count."""
-    tasks = _candidate_chunks(config)
+    tuples = _minimal_tuples(config)
+    chunks = iter(lambda: tuple(itertools.islice(tuples, 512)), ())
+    tasks = zip(chunks, itertools.repeat(config))
     if config.worker_count <= 1:
         chunked = map(_scan_chunk, tasks)
         reports = [r for chunk in chunked for r in chunk]
@@ -212,6 +201,28 @@ def lift(S: NumericalSemigroup, I: RelativeIdeal) -> LiftResult:
 
 # ------------------------------------------------------------------ workers
 
+def _minimal_tuples(config: SearchConfig) -> Iterator[tuple[int, ...]]:
+    # the minimal generating sets with gcd 1 that fit the bounds, in
+    # lexicographic order
+    bound = config.gen_max
+    clip = (1 << (bound + 1)) - 1
+
+    def extend(prefix: tuple[int, ...], reach: int) -> Iterator[tuple[int, ...]]:
+        if len(prefix) >= config.t_min and math.gcd(*prefix) == 1:
+            yield prefix
+        if len(prefix) == config.t_max:
+            return
+        start = prefix[-1] + 1 if prefix else 2
+        for x in range(start, bound + 1):
+            if (reach >> x) & 1:
+                # x is a combination of the prefix: redundant in every
+                # extension, prune the whole subtree
+                continue
+            yield from extend(prefix + (x,), _saturate(reach, x, bound, clip))
+
+    return extend((), 1)
+
+
 def _saturate(reach: int, step: int, bound: int, clip: int) -> int:
     # close the reachability bitset under adding `step`, up to `bound`
     while step <= bound:
@@ -220,49 +231,10 @@ def _saturate(reach: int, step: int, bound: int, clip: int) -> int:
     return reach
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _candidate_chunks(config: SearchConfig,
-                      chunk_size: int = 512) -> Iterator[tuple[tuple, SearchConfig]]:
-    for t in range(config.t_min, config.t_max + 1):
-        combos = itertools.combinations(range(2, config.gen_max + 1), t)
-        while True:
-            chunk = tuple(itertools.islice(combos, chunk_size))
-            if not chunk:
-                break
-            yield (chunk, config)
-
-
-def _is_minimal_tuple(gens: tuple[int, ...]) -> bool:
-    # each generator must not be a combination of the smaller ones (larger
-    # generators can never take part in representing a smaller one)
-    bound = gens[-1]
-    clip = (1 << (bound + 1)) - 1
-    reach = 1
-    for a in gens:
-        if (reach >> a) & 1:
-            return False
-        reach = _saturate(reach, a, bound, clip)
-    return True
-
-
 def _scan_chunk(args: tuple[tuple, SearchConfig]) -> list[BrickReport]:
     tuples, config = args
-    reports: list[BrickReport] = []
-    for gens in tuples:
-        if math.gcd(*gens) != 1:
-            continue
-        if not _is_minimal_tuple(gens):
-            continue
-        reports.extend(_scan_semigroup(NumericalSemigroup(gens), config))
-    return reports
+    return [r for gens in tuples
+            for r in _scan_semigroup(NumericalSemigroup(gens), config)]
 
 
 def _scan_semigroup(S: NumericalSemigroup,

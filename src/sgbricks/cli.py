@@ -17,7 +17,7 @@ from .balanced import (
     frobenius_of_triple,
     unitary_family,
 )
-from .brickhunt import SearchConfig, lift, render_reports, search, summarize
+from .brickhunt import SearchConfig, lift, search, summarize, write_reports
 from .errors import DomainError
 from .ideal import RelativeIdeal, brick_check
 from .sgcore import NumericalSemigroup
@@ -257,12 +257,8 @@ def _cmd_search(args: list[str]) -> None:
         worker_count=options["workers"],
     )
     reports = search(config)
-    payload = render_reports(reports, options["fmt"])
-    if options["out"] is None:
-        sys.stdout.write(payload)
-    else:
-        with open(options["out"], "w") as fh:
-            fh.write(payload)
+    out = sys.stdout if options["out"] is None else options["out"]
+    write_reports(reports, out, options["fmt"])
     print(summarize(reports), file=sys.stderr)
 
 

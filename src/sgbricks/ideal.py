@@ -9,11 +9,14 @@ obey mu(I) * mu(S - I) = mu(I + (S - I)).
 The dual and sum computations run on integer bitsets whose window is
 frobenius + multiplicity past the ideal's span (dual_window).  Shift I so
 that min(I) = 0.  Then S - I lies in S and holds every integer above the
-Frobenius number F, and so does I + (S - I), which contains 0 + (S - I).
-A relative ideal J that holds every integer above F has no minimal
-generator above F + m: for such an x, x - m is above F, so it lies in J,
-and x lies in its coset.  The sum I + (S - I) is the union of the dual's
-element bitset shifted by each generator of I.
+Frobenius number F.  For any two ideals I and J shifted to min(I) =
+min(J) = 0, the sum I + J holds 0, so it contains S and also holds every
+integer above F.  A relative ideal that holds every integer above F has no
+minimal generator above F + m: for such an x, x - m is above F, so it lies
+in the ideal, and x lies in its coset.  A sum I + J is the union of J's
+element bitset shifted by each generator of I; J's own bitset is the union
+of S's shifted by each generator of J.  I + (S - I) in brick_check shifts
+the dual's bitset the same way.
 """
 
 from __future__ import annotations
@@ -85,8 +88,15 @@ class RelativeIdeal:
             return NotImplemented
         if other.parent != self.parent:
             raise ParentMismatchError("ideals live over different semigroups")
-        sums = {a + b for a in self.min_gens for b in other.min_gens}
-        return RelativeIdeal(self.parent, sums)
+        S = self.parent
+        a0, b0 = self.min_gens[0], other.min_gens[0]
+        # (I - a0) + (J - b0) is complete through the trusted strip, which
+        # holds all its minimal generators
+        jmask = _shift_union(S.element_mask(dual_window(S, 0)),
+                             [b - b0 for b in other.min_gens])
+        kmask = _shift_union(jmask, [a - a0 for a in self.min_gens])
+        return RelativeIdeal._trusted(
+            S, tuple(g + a0 + b0 for g in _mask_min_gens(kmask, S)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RelativeIdeal):
@@ -138,10 +148,7 @@ def brick_check(S: NumericalSemigroup, I: RelativeIdeal) -> BrickCheck:
     # union of the dual shifted by each offset of I.  The dual's bitset is
     # complete through the trusted strip [0, F + m], which holds every
     # minimal generator of the sum.
-    kmask = 0
-    for z in shifted:
-        kmask |= dmask << z
-    total_gens = _mask_min_gens(kmask, S)
+    total_gens = _mask_min_gens(_shift_union(dmask, shifted), S)
     total = RelativeIdeal._trusted(S, tuple(total_gens))
 
     mu_dual = len(dual_shifted)
@@ -178,19 +185,29 @@ def _shifted_dual(I: RelativeIdeal) -> tuple[int, list[int], int, list[int]]:
     return off, shifted, emask, _mask_min_gens(emask, S)
 
 
+def _shift_union(mask: int, offsets: Iterable[int]) -> int:
+    # the bitset of the union of mask shifted up by each offset
+    out = 0
+    for z in offsets:
+        out |= mask << z
+    return out
+
+
 def _mask_min_gens(emask: int, S: NumericalSemigroup) -> list[int]:
-    # The minimal generators of a relative ideal J of S with J inside S and
-    # holding every integer above F, from its element bitset (complete
-    # through the trusted strip [0, F + m], which holds them all): x is one
-    # iff x is in J and x - a is not, for every minimal generator a of S.
+    # The minimal generators of a relative ideal J of S with no negative
+    # element that holds every integer above F, from its element bitset
+    # (complete through the trusted strip [0, F + m], which holds them
+    # all): x is one iff x is in J and x - a is not, for every minimal
+    # generator a of S.
     emask &= (1 << (dual_window(S, 0) + 1)) - 1
-    cover = 0
-    for a in S.min_gens:
-        cover |= emask << a
-    gmask = emask & ~cover
-    gens = []
-    while gmask:
-        low = gmask & -gmask
-        gens.append(low.bit_length() - 1)
-        gmask ^= low
-    return gens
+    return _bits(emask & ~_shift_union(emask, S.min_gens))
+
+
+def _bits(mask: int) -> list[int]:
+    # the positions of the set bits, ascending
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 pass; the two large searches are shared session fixtures.
 """
 
+import hashlib
 import io
 import random
 import time
@@ -313,6 +314,10 @@ def test_criterion_10_lift_experiment(t4_reports_w8, t5_reports_w8):
                f"{len(non_unitary_lifts)} non-unitary")
 
 
+T4_GEN48_SHA256 = "c504029b16247e1dbae1bc761aaafc29bff6b6c7a78f0f237f51848ed82d7bcd"
+T5_GEN27_SHA256 = "f353bbeb03c6b748d95092acc5935405e329b3c1b13fb555a89f271148668d31"
+
+
 def test_criterion_11_search_determinism(t4_reports_w1, t4_reports_w8,
                                          t5_reports_w1, t5_reports_w8):
     payloads = []
@@ -320,6 +325,10 @@ def test_criterion_11_search_determinism(t4_reports_w1, t4_reports_w8,
         buf = io.StringIO()
         write_reports(reports, buf)
         payloads.append(buf.getvalue())
-    ok = payloads[0] == payloads[1] and payloads[2] == payloads[3]
-    _criterion(11, "search output is byte-identical for 1 and 8 workers",
-               ok, f"t4 bytes={len(payloads[0])}, t5 bytes={len(payloads[2])}")
+    digests = [hashlib.sha256(p.encode()).hexdigest() for p in payloads]
+    # the golden reports of the two spaces, recorded in BENCH_search.json
+    golden = [T4_GEN48_SHA256] * 2 + [T5_GEN27_SHA256] * 2
+    ok = digests == golden
+    _criterion(11, "search output is byte-identical for 1 and 8 workers "
+               "and matches the golden reports", ok,
+               f"t4 bytes={len(payloads[0])}, t5 bytes={len(payloads[2])}")

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from sgbricks import brickhunt
 from sgbricks.brickhunt import (
     BrickReport,
     SearchConfig,
@@ -177,12 +178,31 @@ def test_search_perfect_only_filter(t4_gen27_reports):
 
 
 def test_search_deterministic_across_workers():
-    a = search(SearchConfig(t_min=4, t_max=4, gen_max=24, worker_count=1))
-    b = search(SearchConfig(t_min=4, t_max=4, gen_max=24, worker_count=4))
+    # t2..5 puts tuples of every length into the same chunks
+    a = search(SearchConfig(t_min=2, t_max=5, gen_max=24, worker_count=1))
+    b = search(SearchConfig(t_min=2, t_max=5, gen_max=24, worker_count=4))
+    assert len(a) == 27
     buf_a, buf_b = io.StringIO(), io.StringIO()
     write_reports(a, buf_a)
     write_reports(b, buf_b)
     assert buf_a.getvalue() == buf_b.getvalue()
+
+
+def test_search_visits_exactly_the_enumerated_semigroups(monkeypatch):
+    # search and enumerate_semigroups draw from the same walk: every
+    # semigroup once, in the same order, and nothing else
+    cfg = SearchConfig(t_min=2, t_max=5, gen_max=22)
+    visited = []
+
+    def recording(S, config):
+        visited.append(S.min_gens)
+        return []
+
+    monkeypatch.setattr(brickhunt, "_scan_semigroup", recording)
+    assert search(cfg) == []
+    assert visited == [S.min_gens for S in enumerate_semigroups(cfg)]
+    assert len(visited) == 3893
+    assert {len(gens) for gens in visited} == {2, 3, 4, 5}
 
 
 def test_scan_matches_bare_brick_check_loop():

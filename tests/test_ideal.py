@@ -330,6 +330,38 @@ def test_dual_and_brick_check_when_multiplicity_nears_frobenius(shape, offsets):
     _check_against_oracle(sgens, offsets)
 
 
+def _check_sum_against_oracle(sgens, offsets_i, offsets_j):
+    S = NumericalSemigroup(sgens)
+    I, J = RelativeIdeal(S, offsets_i), RelativeIdeal(S, offsets_j)
+    want = _oracle_ideal_gens(
+        sgens, [a + b for a in I.min_gens for b in J.min_gens])
+    assert (I + J).min_gens == want
+    assert (J + I).min_gens == want
+
+
+@pytest.mark.parametrize("sgens", [
+    (1,), (2, 3), (14, 15, 20, 21), (10, 11, 13, 17, 19), (3, 50), (7, 60, 61),
+], ids=str)
+def test_sum_of_unrelated_ideals_against_oracle(sgens):
+    # sums of ideals that are not each other's duals: negative and wide
+    # offsets, and principal operands on either side
+    frob = brute_frobenius(sgens)
+    cases = [
+        ((0,), (0,)), ((-5,), (3,)), ((-5,), (0, 1)), ((0, 1), (7,)),
+        ((0, 1), (0, 2)), ((-3, 4), (-8, -1, 6)), ((0, 1, 2), (-4, 0, 3)),
+        ((-frob, 0, frob + 1), (2, frob)), ((-2 * frob - 3, -1), (frob - 1,)),
+    ]
+    for offsets_i, offsets_j in cases:
+        _check_sum_against_oracle(sgens, offsets_i, offsets_j)
+
+
+@given(small_gens, st.lists(st.integers(-40, 60), min_size=1, max_size=4),
+       st.lists(st.integers(-40, 60), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_hypothesis_sum_against_oracle(gens, offsets_i, offsets_j):
+    _check_sum_against_oracle(gens, offsets_i, offsets_j)
+
+
 @given(small_gens, st.lists(st.integers(-40, 80), min_size=1, max_size=8))
 @settings(max_examples=150, deadline=None)
 def test_reduction_matches_oracle(gens, offsets):
