@@ -6,23 +6,19 @@ reach, so every tuple in the tree is a minimal generating set, and the ones
 with gcd 1 are the semigroups, in lexicographic order.  For each semigroup the
 candidate ideals contain 0 plus nonzero offsets up to frobenius minus
 multiplicity, with at most 1 + t // 2 generators for a t-generated
-semigroup, emitted only when the tuple is already minimal.  Candidates that
-survive the pruning below go through an inlined form of the brick test
-(_brick_dual_gens).  Every hit is re-validated through ideal.brick_check
-before it becomes a BrickReport record; a disagreement raises RuntimeError,
-an explicit check that python -O keeps.
+semigroup, emitted only when the tuple is already minimal.  One kernel
+(_bad_pairs) extracts a dual's minimal generators, decides the brick test and
+collects the pairs of generators that break it, which break it for every
+larger ideal whose dual still holds both ends; one walk of the candidate tree
+(_scan_semigroup) passes them down and skips what they rule out, at every
+depth.  The pruning is exact, checked against an independent unpruned scan
+over whole spaces.  Every hit is re-validated through ideal.brick_check; a
+disagreement raises RuntimeError, an explicit check that python -O keeps.
 
-Most three-generator candidates (0, u, v) never reach the kernel.  The duals
-of the two-generator ideals (0, g) are extracted in full once per semigroup;
-a pair of their minimal generators that already breaks the brick condition
-rules out every larger ideal whose dual still holds both ends, and these
-rulings become one bitmask per gap (see _kill_mask).  The pruning is exact:
-the tests compare the scan with the unpruned one over whole spaces.
-
-The search cuts that walk into chunks of 512 generator tuples and fans them
-out to worker processes, which construct and scan each semigroup; workers
-own their result lists and a final sort by (semigroup, ideal) generators
-makes the output independent of scheduling.
+The search cuts the semigroup walk into chunks of 512 generator tuples and
+fans them out to at most MAX_WORKERS worker processes, which construct and
+scan each semigroup; workers own their result lists and a final sort by
+(semigroup, ideal) generators makes the output independent of scheduling.
 """
 
 from __future__ import annotations
@@ -39,12 +35,14 @@ from .errors import (
     InvalidInputError,
     NotTwoByTwoError,
     ParentMismatchError,
+    ResourceLimitError,
     ZeroNotGeneratorError,
 )
 from .ideal import BrickCheck, RelativeIdeal, _bits, brick_check, dual_window
 from .sgcore import NumericalSemigroup
 
 TABLE_HEADER = "s_gens;i_gens;dual_gens;k;m;perfect;mult;frob"
+MAX_WORKERS = 256  # one process each: more only exhausts the process table
 
 
 @dataclass(frozen=True)
@@ -73,6 +71,9 @@ class SearchConfig:
             raise InvalidInputError("mu_cap must be at least 2")
         if self.worker_count < 1:
             raise InvalidInputError("worker_count must be at least 1")
+        if self.worker_count > MAX_WORKERS:
+            raise ResourceLimitError(
+                f"{self.worker_count} workers exceed the bound of {MAX_WORKERS}")
 
     def cap_for(self, t: int) -> int:
         return self.mu_cap if self.mu_cap is not None else 1 + t // 2
@@ -241,17 +242,22 @@ def _scan_semigroup(S: NumericalSemigroup,
                     config: SearchConfig) -> list[BrickReport]:
     """Scan all candidate ideals of one semigroup.
 
-    The inner test is an exact inlined form of the brick condition:
-    mu(I + J) equals mu(I) * mu(J) iff the pairwise generator sums are
-    distinct and no difference of two sums is a member (the sums generate
-    I + J, and its minimal generating set is their greedy reduction).  Every
-    hit is re-validated through ideal.brick_check before being reported.
+    Candidates form a tree: a child appends to (0, *offsets) an offset x
+    whose difference with each generator is a gap.  A node's brick test
+    (_bad_pairs) reads its bad-difference mask, whose bit D is set iff D + d
+    or |D - d| is a member for a difference d of its generators: the OR of
+    the per-gap masks bad[d].  Every hit is re-validated through
+    ideal.brick_check before being reported.
 
-    Three-generator candidates are first filtered by kill masks (see
-    _kill_mask): for every gap g, bit x of kill[g] is set when a bad pair of
-    S - (0, g) survives into S - (0, g, x), which rejects (0, g, x) without
-    running the kernel.  (0, u, v) is skipped when kill[u] marks v or
-    kill[v] marks u, because it contains both (0, u) and (0, v).
+    Every root (0, g) is extracted first, since a node (0, ..., x) also
+    reads the pairs of (0, x).  Then one walk visits each root's subtree in
+    pre-order and passes down the live pairs, so the lemma in _bad_pairs
+    rules at every depth.  A child (0, ..., x) is skipped, untested, when a
+    live pair's mask has bit x or a pair of (0, x) has every nonzero offset
+    of the parent in its mask; it still roots a subtree, whose live pairs
+    are the ones that skipped it.  A tested node's live pairs are the bad
+    pairs of its dual, wanted at its children's offsets.  Leaves need only
+    the OR of the masks, so only nodes with grandchildren keep the masks.
     """
     out: list[BrickReport] = []
     frob = S.frobenius
@@ -259,16 +265,18 @@ def _scan_semigroup(S: NumericalSemigroup,
     if frob < 0 or top < 1:
         return out
     cap = config.cap_for(len(S.min_gens))
-    # offsets reach top, so the window also covers the kill masks' reads
-    # at x + w for x <= top and a dual generator w <= frobenius + m
+    # offsets reach top, so the window covers the reads at D + d for two
+    # dual generators D <= frobenius + m apart, and at x + w
     smask = S.element_mask(dual_window(S, top))
-    gapmask = ~smask & ((1 << (top + 1)) - 1)
-    table = S.apery_table
-    m = S.multiplicity
+    window = (1 << (top + 1)) - 1
+    gapmask = ~smask & window
     gaps = _bits(gapmask)
+    # bit top + p of folded is set iff |p| is a member, for p >= -top
+    folded = (smask << top) | int(f"{smask & window:0{top + 1}b}"[::-1], 2)
+    reach = (1 << (frob + S.multiplicity + 1)) - 1
 
-    def report(offsets: tuple[int, ...]) -> None:
-        ideal = RelativeIdeal._trusted(S, (0, *offsets))
+    def report(gens: tuple[int, ...]) -> None:
+        ideal = RelativeIdeal._trusted(S, gens)
         check = brick_check(S, ideal)
         if not check.is_brick:
             raise RuntimeError(
@@ -277,69 +285,95 @@ def _scan_semigroup(S: NumericalSemigroup,
         if check.is_perfect or not config.perfect_only:
             out.append(BrickReport.from_check(S, ideal, check))
 
-    def deeper(offsets: tuple[int, ...], cand: int, emask: int) -> None:
-        # generic extension for mu caps beyond 3
+    def walk(gens, diffs, omask, cand, emask, kill, pairs):
+        # the children gens + (x,), x in cand, of a node with dual emask and
+        # bad-difference mask diffs; omask holds its nonzero offsets, kill
+        # and pairs the OR and the list (or None) of its live pairs' masks
+        if len(gens) + 1 == cap:
+            # the children are leaves (the scan's inner loop); for a single
+            # offset u the OR rkill[x] decides the cover at bit u
+            rest = cand & ~kill
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                x = low.bit_length() - 1
+                if rkill[x] & omask == omask and (len(gens) == 2 or any(
+                        p & omask == omask for p in rpairs[x])):
+                    continue
+                child = diffs
+                for a in gens:
+                    child |= bad[x - a]
+                if _bad_pairs(emask & (smask >> x), smask, child, 0, None)[0]:
+                    report(gens + (x,))
+            return
         for x in _bits(cand):
-            ext = offsets + (x,)
-            ds = [b - a for a in (0, *ext) for b in ext if b > a]
+            child = diffs
+            for a in gens:
+                child |= bad[x - a]
+            live = ([p for p in pairs if p >> x & 1]
+                    + [p for p in rpairs[x] if p & omask == omask])
             sub = emask & (smask >> x)
-            if _brick_dual_gens(sub, smask, tuple(set(ds)), table, m) is not None:
-                report(ext)
-            if len(ext) + 1 < cap:
-                deeper(ext, cand & (gapmask << x), sub)
+            below = cand & (gapmask << x)
+            child_kill = 0
+            for p in live:
+                child_kill |= p
+            if not live:
+                live = [] if len(gens) + 3 <= cap else None
+                is_brick, child_kill = _bad_pairs(sub, smask, child, below,
+                                                  live)
+                if is_brick:
+                    report(gens + (x,))
+            walk(gens + (x,), child, omask | 1 << x, below, sub, child_kill,
+                 live)
 
-    # kill masks feed level 3 only; without it they are not built
-    wanted = gapmask if cap >= 3 else 0
-    brick = {}
-    kill = {}
+    # every root first: a node (0, ..., x) also reads the pairs of (0, x)
+    bad = [0] * (top + 1)
+    rbrick = [False] * (top + 1)
+    rkill = [0] * (top + 1)
+    rpairs = [[] for _ in bad] if cap >= 4 else [None] * (top + 1)
     for g in gaps:
-        brick[g], kill[g] = _kill_mask(smask & (smask >> g), smask, g,
-                                       table, m, wanted)
-    for u in gaps:
-        if brick[u]:
-            report((u,))
-        if cap < 3:
-            continue
-        emask_u = smask & (smask >> u)
-        kill_u = kill[u]
-        cand_u = gapmask & (gapmask << u)
-        # above cap 3 a killed (0, u, v) still roots larger ideals, whose
-        # duals may have lost an end of the bad pair
-        for v in _bits(cand_u if cap > 3 else cand_u & ~kill_u):
-            emask_uv = emask_u & (smask >> v)
-            if not ((kill_u >> v) | (kill[v] >> u)) & 1 and _brick_dual_gens(
-                    emask_uv, smask, (u, v, v - u), table, m) is not None:
-                report((u, v))
-            if cap >= 4:
-                deeper((u, v), cand_u & (gapmask << v), emask_uv)
+        diffs = ((folded >> (top - g)) | (folded >> (top + g))) & reach
+        if cap >= 3:  # kept only for the walk: gaps * (F + m) bits
+            bad[g] = diffs
+        rbrick[g], rkill[g] = _bad_pairs(smask & (smask >> g), smask, diffs,
+                                         gapmask if cap >= 3 else 0, rpairs[g])
+    for g in gaps:
+        if rbrick[g]:
+            report((0, g))
+        if cap >= 3 and gapmask & (gapmask << g):
+            walk((0, g), bad[g], 1 << g, gapmask & (gapmask << g),
+                 smask & (smask >> g), rkill[g], rpairs[g])
     return out
 
 
-def _kill_mask(emask, smask, delta, table, m, wanted):
-    """Decide the brick test for I = (0, delta) and build its kill mask.
+def _bad_pairs(emask, smask, diffs, wanted, pairs):
+    """The brick test of an ideal I with dual emask and bad-difference mask
+    diffs, and the bad pairs of its dual.
 
-    Returns (is_brick, kill).  The minimal generators of the dual S - I are
-    extracted in order; a pair a < b of them is *bad* when b - a + delta or
-    |b - a - delta| is a member, which is exactly the kernel's rejection for
-    delta.  I is a brick iff the dual has at least two generators and no
-    bad pair.  Bit x of kill, for the offsets x in the mask wanted, is set
-    iff some bad pair (a, b) has a + x and b + x both members, i.e. both
-    stay in S - (0, delta, x).  The extraction stops at a bad pair once
-    every wanted bit is set, so with wanted = 0 it is the kernel's early
-    abort.
+    Returns (is_brick, kill).  The minimal generators of S - I are extracted
+    in ascending order; a pair a < b of them is *bad* when bit b - a of
+    diffs is set.  The generator sums generate I + (S - I), and
+    mu(I + (S - I)) = mu(I) * mu(S - I) iff no two sums coincide or differ
+    by a member.  Two offsets of I differ by a gap, and so do two dual
+    generators, so (S, I) is a brick iff the dual has at least two
+    generators and no bad pair.  A bad pair (a, b) has the survival mask
+    wanted & (smask >> a) & (smask >> b), whose bit x is set iff a and b stay
+    in the dual once I gains the offset x; kill is the OR of these masks,
+    each also appended to pairs unless pairs is None.  The extraction stops
+    at a bad pair once kill holds every wanted bit: at once for wanted = 0.
 
     Lemma: for ideals I within I', S - I' lies within S - I, and a minimal
     generator w of S - I that lies in S - I' is minimal there too: were
     w = w' + s with w' in S - I' and s a nonzero member, then w' would lie
     in S - I as well, contradicting the minimality of w.  Now let (a, b) be
-    a bad pair of S - (0, delta) with a and b both in S - I' for some I'
-    containing 0 and delta (so delta is a difference of two generators of
-    I').  By the lemma a and b are minimal generators of S - I'.  If
-    b - a + delta is a member, the generator sum b + delta lies in the coset
-    a + S; if e = |b - a - delta| is a member, one of the sums b and
-    a + delta lies in the other's coset (they coincide when e = 0).  Either
-    way mu(I' + (S - I')) < mu(I') * mu(S - I'), so (S, I') is no brick.
-    For I' = (0, delta, x) the two memberships are exactly bit x of kill.
+    a bad pair of S - I for a difference d of I, with a and b both in S - I'
+    for an ideal I' whose generators include those of I.  By the lemma a
+    and b are minimal generators of S - I'.  If b - a + d is a member, the
+    generator sum b + d lies in the coset a + S; if e = |b - a - d| is a
+    member, one of the sums b and a + d lies in the other's coset (they
+    coincide when e = 0).  Either way mu(I' + (S - I')) < mu(I') *
+    mu(S - I'), so (S, I') is no brick.  And a and b lie in S - I' iff
+    every offset I' adds to I is a bit of their survival mask, at any depth.
     """
     gens: list[int] = []
     bad = False
@@ -348,52 +382,17 @@ def _kill_mask(emask, smask, delta, table, m, wanted):
     while rest:
         w = (rest & -rest).bit_length() - 1
         for wi in gens:
-            d = w - wi + delta
-            if d < table[d % m]:
-                d = w - wi - delta
-                if d < 0:
-                    d = -d
-                if d < table[d % m]:
-                    continue
-            if not wanted & ~kill:
-                return False, kill
-            bad = True
-            kill |= wanted & (smask >> w) & (smask >> wi)
+            if diffs >> (w - wi) & 1:
+                if not wanted & ~kill:
+                    return False, kill
+                bad = True
+                mask = wanted & (smask >> w) & (smask >> wi)
+                kill |= mask
+                if pairs is not None:
+                    pairs.append(mask)
         gens.append(w)
         rest &= ~(smask << w)
     return not bad and len(gens) >= 2, kill
-
-
-def _brick_dual_gens(emask, smask, deltas, table, m):
-    """Extract the dual's minimal generators while testing the brick
-    condition, aborting at the first violation.
-
-    deltas are the pairwise differences of the ideal's generators (gaps by
-    construction, so same-generator cross pairs need no test).  The pair
-    (S, I) is a brick iff no cross pair (w_i + z1, w_j + z2) collides or
-    differs by a member; collisions show up as a zero difference, which the
-    membership test catches since 0 is a member.
-    """
-    gens: list[int] = []
-    rest = emask
-    while rest:
-        w = (rest & -rest).bit_length() - 1
-        for wi in gens:
-            diff = w - wi  # ascending extraction keeps this positive
-            for delta in deltas:
-                d = diff + delta
-                if d >= table[d % m]:
-                    return None
-                d = diff - delta
-                if d < 0:
-                    d = -d
-                if d >= table[d % m]:
-                    return None
-        gens.append(w)
-        rest &= ~(smask << w)
-    if len(gens) < 2:
-        return None
-    return gens
 
 
 # ------------------------------------------------------------------ reports

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 
-from sgbricks.brickhunt import BrickReport, _bits, _brick_dual_gens
+from sgbricks.brickhunt import BrickReport, _bits
 from sgbricks.errors import IntegerOverflowError
 from sgbricks.ideal import RelativeIdeal, brick_check
 from sgbricks.sgcore import NumericalSemigroup
@@ -77,3 +77,37 @@ def reference_scan_semigroup(S: NumericalSemigroup,
                 if cap >= 4:
                     deeper((u, v), cand_u & (gapmask << v), emask_uv)
     return out
+
+
+# the brick kernel kept here in full, so that the reference shares no brick
+# test with the pruned scan it checks
+def _brick_dual_gens(emask, smask, deltas, table, m):
+    """Extract the dual's minimal generators while testing the brick
+    condition, aborting at the first violation.
+
+    deltas are the pairwise differences of the ideal's generators (gaps by
+    construction, so same-generator cross pairs need no test).  The pair
+    (S, I) is a brick iff no cross pair (w_i + z1, w_j + z2) collides or
+    differs by a member; collisions show up as a zero difference, which the
+    membership test catches since 0 is a member.
+    """
+    gens: list[int] = []
+    rest = emask
+    while rest:
+        w = (rest & -rest).bit_length() - 1
+        for wi in gens:
+            diff = w - wi  # ascending extraction keeps this positive
+            for delta in deltas:
+                d = diff + delta
+                if d >= table[d % m]:
+                    return None
+                d = diff - delta
+                if d < 0:
+                    d = -d
+                if d >= table[d % m]:
+                    return None
+        gens.append(w)
+        rest &= ~(smask << w)
+    if len(gens) < 2:
+        return None
+    return gens

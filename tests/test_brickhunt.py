@@ -7,6 +7,7 @@ import pytest
 
 from sgbricks import brickhunt
 from sgbricks.brickhunt import (
+    MAX_WORKERS,
     BrickReport,
     SearchConfig,
     TABLE_HEADER,
@@ -24,6 +25,7 @@ from sgbricks.errors import (
     InvalidInputError,
     NotTwoByTwoError,
     ParentMismatchError,
+    ResourceLimitError,
     ZeroNotGeneratorError,
 )
 from sgbricks.ideal import RelativeIdeal, brick_check
@@ -43,6 +45,18 @@ def test_config_validation():
         SearchConfig(mu_cap=1)
     with pytest.raises(InvalidInputError):
         SearchConfig(worker_count=0)
+
+
+def test_worker_budget(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("Pool was called")
+
+    monkeypatch.setattr(brickhunt, "Pool", no_pool)
+    assert SearchConfig(worker_count=MAX_WORKERS).worker_count == MAX_WORKERS
+    with pytest.raises(ResourceLimitError, match=f"bound of {MAX_WORKERS}"):
+        SearchConfig(worker_count=MAX_WORKERS + 1)
+    with pytest.raises(ResourceLimitError):
+        search(SearchConfig(gen_max=10, worker_count=10**6))
 
 
 def test_mu_cap_rule():
@@ -166,6 +180,13 @@ def test_search_ordering_and_soundness(t4_gen27_reports):
         if r.perfect and (r.k, r.m) == (2, 2):
             # a perfect sum ideal is generated by the semigroup itself
             assert chk.sum_ideal.min_gens == r.s_gens
+
+
+def test_reports_within_the_proved_cap(t4_gen27_reports):
+    # I + (S - I) lies in S, and the minimal generators of an ideal in S lie
+    # in distinct classes mod the multiplicity: k * mu(S - I) <= multiplicity
+    assert t4_gen27_reports
+    assert all(r.k * r.m <= r.multiplicity for r in t4_gen27_reports)
 
 
 def test_search_empty_below_multiplicity_nine():

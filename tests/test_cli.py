@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from sgbricks import brickhunt
 from sgbricks.cli import run
 
 
@@ -236,6 +237,19 @@ def test_resource_guards_exit(capsys):
     code, out, err = invoke(capsys, "dual", "10007", "10009", "--", "0", "1")
     assert code == 3 and out == ""
     assert err.startswith("error: resource-limit: an element bitset of ")
+
+
+def test_worker_budget_exit(capsys, monkeypatch):
+    # refused before any process is started
+    def no_pool(*args, **kwargs):
+        raise AssertionError("Pool was called")
+
+    monkeypatch.setattr(brickhunt, "Pool", no_pool)
+    code, out, err = invoke(capsys, "search", "--gen-max", "10",
+                            "--workers", "1000000")
+    assert code == 3 and out == ""
+    assert err == ("error: resource-limit: 1000000 workers exceed the bound "
+                   f"of {brickhunt.MAX_WORKERS}\n")
 
 
 def test_lift_domain_error(capsys):

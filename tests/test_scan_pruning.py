@@ -1,6 +1,8 @@
-"""The kill-mask pruning of the brick scan: exactness against the unpruned
-reference scan, the lemma it rests on, and re-validation of every hit."""
+"""The bad-pair pruning of the brick scan: exactness against the unpruned
+reference scan at every ideal size, the lemma it rests on, and re-validation
+of every hit."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -18,7 +20,7 @@ from sgbricks.brickhunt import (
     enumerate_ideals,
     enumerate_semigroups,
     search,
-    _kill_mask,
+    _bad_pairs,
     _scan_semigroup,
 )
 from sgbricks.ideal import RelativeIdeal, brick_check
@@ -36,13 +38,18 @@ SRC = Path(__file__).resolve().parents[1] / "src"
     (SearchConfig(t_min=4, t_max=4, gen_max=27), 76),
     (SearchConfig(t_min=5, t_max=5, gen_max=22), 0),
     (SearchConfig(t_min=4, t_max=4, gen_max=20, mu_cap=4), 2),
+    (SearchConfig(t_min=3, t_max=3, gen_max=22, mu_cap=4), 10),
+    (SearchConfig(t_min=4, t_max=4, gen_max=18, mu_cap=5), 2),
     (SearchConfig(t_min=2, t_max=5, gen_max=22, perfect_only=True), 2),
-], ids=["t4-27", "t5-22", "t4-20-cap4", "t2to5-22-perfect"])
+], ids=["t4-27", "t5-22", "t4-20-cap4", "t3-22-cap4", "t4-18-cap5",
+        "t2to5-22-perfect"])
 def test_scan_matches_reference_over_whole_space(config, hits):
     found = 0
     for S in enumerate_semigroups(config):
         got = _scan_semigroup(S, config)
         assert got == reference_scan_semigroup(S, config), S.min_gens
+        # the bound behind the proved cap: k * mu(S - I) <= multiplicity
+        assert all(r.k * r.m <= r.multiplicity for r in got), S.min_gens
         found += len(got)
     assert found == hits
 
@@ -61,73 +68,117 @@ def test_scan_matches_reference_on_four_generator_bricks(gens, ideal):
     assert ideal in [r.i_gens for r in got]
 
 
-def test_pruning_skips_most_kernel_calls(monkeypatch):
-    cfg = SearchConfig(t_min=4, t_max=4, gen_max=25)
-    candidates = sum(sum(1 for _ in enumerate_ideals(S, cfg))
-                     for S in enumerate_semigroups(cfg))
-    assert candidates == 701_443
-    calls = 0
-    kernel = brickhunt._brick_dual_gens
+def counting_kernel(monkeypatch):
+    calls = []
+    kernel = brickhunt._bad_pairs
 
     def counting(*args):
-        nonlocal calls
-        calls += 1
+        calls.append(None)
         return kernel(*args)
 
-    monkeypatch.setattr(brickhunt, "_brick_dual_gens", counting)
+    monkeypatch.setattr(brickhunt, "_bad_pairs", counting)
+    return calls
+
+
+def test_pruning_skips_most_kernel_calls(monkeypatch):
+    cfg = SearchConfig(t_min=4, t_max=4, gen_max=25)
+    sizes = [len(I.min_gens) for S in enumerate_semigroups(cfg)
+             for I in enumerate_ideals(S, cfg)]
+    candidates = len(sizes)
+    assert candidates == 701_443
+    calls = counting_kernel(monkeypatch)
     reports = search(cfg)
     assert len(reports) == 31
-    assert calls <= 0.35 * candidates
+    # every (0, g) is extracted once; the rest test three generators
+    assert len(calls) == 207_703
+    calls_above_two = len(calls) - sizes.count(2)
+    assert calls_above_two == 143_937
+    assert calls_above_two <= 0.35 * candidates
+
+
+def test_pruning_reaches_four_generators(monkeypatch):
+    # with no pruning past three generators the scan made 358,122 calls
+    calls = counting_kernel(monkeypatch)
+    reports = search(SearchConfig(t_min=4, t_max=4, gen_max=20, mu_cap=4))
+    assert len(reports) == 2
+    assert len(calls) <= 358_122 // 2
+
+
+def brute_bad_differences(S, deltas):
+    # bit D, for D up to frobenius + multiplicity, iff D + d or |D - d| is a
+    # member for some d in deltas
+    return sum(1 << D for D in range(S.frobenius + S.multiplicity + 1)
+               if any((D + d) in S or abs(D - d) in S for d in deltas))
 
 
 @pytest.mark.parametrize("config", [
     SearchConfig(t_min=4, t_max=4, gen_max=20),
     SearchConfig(t_min=5, t_max=5, gen_max=19),
-], ids=["t4-20", "t5-19"])
+    SearchConfig(t_min=4, t_max=4, gen_max=17, mu_cap=4),
+    SearchConfig(t_min=3, t_max=3, gen_max=16, mu_cap=4),
+    SearchConfig(t_min=4, t_max=4, gen_max=16, mu_cap=5),
+], ids=["t4-20", "t5-19", "t4-17-cap4", "t3-16-cap4", "t4-16-cap5"])
 def test_every_skipped_candidate_has_a_bad_pair(monkeypatch, config):
-    # a skipped (0, u, v) needs a bad pair of S - (0, g), g in {u, v}, with
-    # both ends still in S - (0, u, v); found here through brick_check's duals
-    kernel = brickhunt._brick_dual_gens
+    # a skipped candidate I' needs a bad pair of S - J, for some J within I'
+    # that holds 0, with both ends still in S - I'; found here through
+    # brick_check's duals and the differences of J
+    kernel = brickhunt._bad_pairs
     tested = set()
 
-    def recording(emask, smask, deltas, table, m):
-        tested.add(deltas)
-        return kernel(emask, smask, deltas, table, m)
+    def recording(emask, smask, diffs, wanted, pairs):
+        tested.add((emask, diffs))
+        return kernel(emask, smask, diffs, wanted, pairs)
 
-    monkeypatch.setattr(brickhunt, "_brick_dual_gens", recording)
+    monkeypatch.setattr(brickhunt, "_bad_pairs", recording)
     skipped = 0
     for S in enumerate_semigroups(config):
         tested.clear()
         _scan_semigroup(S, config)
+        top = S.frobenius - S.multiplicity
+        smask = S.element_mask(S.frobenius + S.multiplicity + top)
+        bad = {g: brute_bad_differences(S, (g,))
+               for g in range(1, top + 1) if g not in S}
         duals = {}
 
-        def certified(g, u, v):
-            if g not in duals:
-                duals[g] = brick_check(S, RelativeIdeal(S, (0, g))).dual_ideal.min_gens
-            ends = [w for w in duals[g] if (w + u) in S and (w + v) in S]
-            return any((b - a + g) in S or abs(b - a - g) in S
-                       for i, a in enumerate(ends) for b in ends[i + 1:])
+        def certified(gens):
+            for size in range(1, len(gens) - 1):
+                for sub in itertools.combinations(gens[1:], size):
+                    J = (0, *sub)
+                    if J not in duals:
+                        duals[J] = brick_check(S, RelativeIdeal(S, J)).dual_ideal.min_gens
+                    ends = [w for w in duals[J] if all((w + z) in S for z in gens)]
+                    if any((b - a + d) in S or abs(b - a - d) in S
+                           for i, a in enumerate(ends) for b in ends[i + 1:]
+                           for d in (q - p for p, q in itertools.combinations(J, 2))):
+                        return True
+            return False
 
         for ideal in enumerate_ideals(S, config):
-            if len(ideal.min_gens) != 3:
+            gens = ideal.min_gens
+            if len(gens) < 3:
                 continue
-            _, u, v = ideal.min_gens
-            if (u, v, v - u) in tested:
+            emask, diffs = smask, 0
+            for z in gens[1:]:
+                emask &= smask >> z
+            for p, q in itertools.combinations(gens, 2):
+                diffs |= bad[q - p]
+            if (emask, diffs) in tested:
                 continue
             skipped += 1
-            assert certified(u, u, v) or certified(v, u, v), (S.min_gens, u, v)
+            assert certified(gens), (S.min_gens, gens)
     assert skipped > 0
 
 
 # ------------------------------------------------------------ re-validation
 
-@pytest.mark.parametrize("t,name,fake", [
-    (3, "_kill_mask", lambda *args: (True, 0)),
-    (4, "_brick_dual_gens", lambda *args: [0, 1]),
-    (4, "_kill_mask", lambda *args: (True, 0)),
-])
-def test_false_kernel_hit_raises(monkeypatch, t, name, fake):
-    monkeypatch.setattr(brickhunt, name, fake)
+@pytest.mark.parametrize("t,fake", [
+    # every ideal, then only the leaves, then only the (0, g) extractions
+    (3, lambda emask, smask, diffs, wanted, pairs: (True, 0)),
+    (4, lambda emask, smask, diffs, wanted, pairs: (not wanted, 0)),
+    (4, lambda emask, smask, diffs, wanted, pairs: (bool(wanted), 0)),
+], ids=["t3-all", "t4-leaves", "t4-roots"])
+def test_false_kernel_hit_raises(monkeypatch, t, fake):
+    monkeypatch.setattr(brickhunt, "_bad_pairs", fake)
     with pytest.raises(RuntimeError, match=r"semigroup \(\d+(, \d+)+\), ideal \(0, \d+"):
         search(SearchConfig(t_min=t, t_max=t, gen_max=20))
 
@@ -138,7 +189,7 @@ def test_false_kernel_hit_raises_under_optimize():
         from sgbricks import brickhunt
         if __debug__:
             sys.exit(5)
-        brickhunt._brick_dual_gens = lambda *args: [0, 1]
+        brickhunt._bad_pairs = lambda *args: (True, 0)
         try:
             brickhunt.search(brickhunt.SearchConfig(t_min=4, t_max=4, gen_max=20))
         except RuntimeError as exc:
@@ -158,7 +209,7 @@ def test_false_kernel_hit_raises_under_optimize():
 
 @given(st.lists(st.integers(3, 24), min_size=2, max_size=4), st.data())
 @settings(max_examples=60, deadline=None)
-def test_lemma_and_kill_mask(gens, data):
+def test_lemma_and_bad_pairs(gens, data):
     assume(math.gcd(*gens) == 1)
     S = NumericalSemigroup(gens)
     frob, m = S.frobenius, S.multiplicity
@@ -178,22 +229,43 @@ def test_lemma_and_kill_mask(gens, data):
         if w in large:
             assert w in large_gens
 
-    # kill[u] marks only non-bricks, the flag decides (0, u) exactly, and
-    # stopping once every wanted bit is set loses no bit
+    # the kill mask of (0, g) marks only non-bricks, the flag decides (0, g)
+    # exactly, stopping once every wanted bit is set loses no bit, and the
+    # collected masks are the pairs that make up the kill mask
     smask = S.element_mask(2 * frob + 2 + top)
     window = (1 << (top + 1)) - 1
     gapmask = ~smask & window
     for g in gaps:
         expected = brick_check(S, RelativeIdeal(S, (0, g))).is_brick
+        diffs = brute_bad_differences(S, (g,))
         masks = {}
         for wanted in (window, gapmask, 0):
-            is_brick, masks[wanted] = _kill_mask(
-                smask & (smask >> g), smask, g, S.apery_table, m, wanted)
+            found = []
+            is_brick, masks[wanted] = _bad_pairs(
+                smask & (smask >> g), smask, diffs, wanted, found)
             assert is_brick == expected
             assert masks[wanted] & ~wanted == 0
+            assert (is_brick, masks[wanted]) == _bad_pairs(
+                smask & (smask >> g), smask, diffs, wanted, None)
+            union = 0
+            for p in found:
+                union |= p
+            assert union == masks[wanted]
         kill = masks[window]
         assert masks[gapmask] == kill & gapmask
         for x in gaps:
             if x != g and (abs(x - g) not in S) and (kill >> x) & 1:
                 ideal = RelativeIdeal(S, sorted((0, g, x)))
                 assert not brick_check(S, ideal).is_brick
+
+    # one level down: a pair of S - (0, u, v) whose mask has bit x rules out
+    # (0, u, v, x)
+    emask = smask & (smask >> u) & (smask >> v)
+    diffs = brute_bad_differences(S, (u, v, v - u))
+    is_brick, kill = _bad_pairs(emask, smask, diffs, window, None)
+    assert is_brick == brick_check(S, RelativeIdeal(S, (0, u, v))).is_brick
+    for x in gaps:
+        if (kill >> x) & 1 and x not in (u, v) and all(
+                abs(x - a) not in S for a in (u, v)):
+            ideal = RelativeIdeal(S, sorted((0, u, v, x)))
+            assert not brick_check(S, ideal).is_brick
