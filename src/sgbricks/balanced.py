@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import NotUnitaryError, WrongArityError
-from .sgcore import NumericalSemigroup
+from .sgcore import NumericalSemigroup, is_minimal_ascending
 
 NOT_BALANCED = "not balanced"
 BALANCED = "balanced"
@@ -169,6 +169,10 @@ def classify(gens: Sequence[int]) -> Classification:
     order: strict ascent, overall gcd 1, no generator dividing another,
     equal pair sums, and minimal generation of the resulting semigroup.
     A balanced quadruple with common quotient 1 is unitary.
+
+    Minimal generation is read off a bitset of the sums of the smaller
+    generators clipped at a4 (sgcore.is_minimal_ascending), so no
+    NumericalSemigroup, and no Apery table, is built.
     """
     vals = list(gens)
     if len(vals) != 4:
@@ -188,7 +192,7 @@ def classify(gens: Sequence[int]) -> Classification:
     if a[0] + a[3] != a[1] + a[2]:
         return Classification(
             NOT_BALANCED, reason="outer and inner pair sums differ")
-    if NumericalSemigroup(a).min_gens != a:
+    if not is_minimal_ascending(a):
         return Classification(
             NOT_BALANCED, reason="not a minimal generating set")
 

@@ -39,7 +39,7 @@ from .errors import (
     ZeroNotGeneratorError,
 )
 from .ideal import BrickCheck, RelativeIdeal, _bits, brick_check, dual_window
-from .sgcore import NumericalSemigroup
+from .sgcore import NumericalSemigroup, _saturate
 
 TABLE_HEADER = "s_gens;i_gens;dual_gens;k;m;perfect;mult;frob"
 MAX_WORKERS = 256  # one process each: more only exhausts the process table
@@ -224,14 +224,6 @@ def _minimal_tuples(config: SearchConfig) -> Iterator[tuple[int, ...]]:
     return extend((), 1)
 
 
-def _saturate(reach: int, step: int, bound: int, clip: int) -> int:
-    # close the reachability bitset under adding `step`, up to `bound`
-    while step <= bound:
-        reach |= (reach << step) & clip
-        step <<= 1
-    return reach
-
-
 def _scan_chunk(args: tuple[tuple, SearchConfig]) -> list[BrickReport]:
     tuples, config = args
     return [r for gens in tuples
@@ -356,11 +348,21 @@ def _bad_pairs(emask, smask, diffs, wanted, pairs):
     mu(I + (S - I)) = mu(I) * mu(S - I) iff no two sums coincide or differ
     by a member.  Two offsets of I differ by a gap, and so do two dual
     generators, so (S, I) is a brick iff the dual has at least two
-    generators and no bad pair.  A bad pair (a, b) has the survival mask
-    wanted & (smask >> a) & (smask >> b), whose bit x is set iff a and b stay
-    in the dual once I gains the offset x; kill is the OR of these masks,
-    each also appended to pairs unless pairs is None.  The extraction stops
-    at a bad pair once kill holds every wanted bit: at once for wanted = 0.
+    generators and no bad pair.
+
+    The dual of a candidate is never principal, so the two-generator
+    condition never rejects one, although brick_check's equation alone
+    would accept mu(S - I) = 1.  Let F >= 0 be the Frobenius number.  As 0
+    is in I, S - I lies within S; as every offset is non-negative, S - I
+    holds every integer above F.  Were S - I = e + S, e would be a member.
+    For e >= 1, e + S misses e + F > F.  For e = 0, S - I = S holds 0, so I
+    lies within S, but the nonzero offsets of I are gaps.
+
+    A bad pair (a, b) has the survival mask wanted & (smask >> a) &
+    (smask >> b), whose bit x is set iff a and b stay in the dual once I
+    gains the offset x; kill is the OR of these masks, each also appended to
+    pairs unless pairs is None.  The extraction stops at a bad pair once
+    kill holds every wanted bit: at once for wanted = 0.
 
     Lemma: for ideals I within I', S - I' lies within S - I, and a minimal
     generator w of S - I that lies in S - I' is minimal there too: were

@@ -12,16 +12,24 @@ changing problem", Algorithmica 48, 2007).  The gap count follows from the
 sum of the table by Selmer's formula (Rosales and Garcia-Sanchez, Numerical
 Semigroups, Springer 2009, ch. 2).
 
+Where only the members up to some bound matter, a reachability bitset is
+cheaper than the table: _saturate closes it under adding one generator in
+O(log(bound / generator)) shifts.  It is the one reachability primitive of
+the package.  The semigroup walk of the search grows generator tuples by
+integers outside it (the pruned tree of Fromentin and Hivert,
+arXiv:1305.3831), and is_minimal_ascending decides minimal generation with
+it, clipped at the largest generator, so balanced.classify needs no table.
+
 Two budgets keep absurd inputs from exhausting memory: a multiplicity above
-MAX_MULTIPLICITY and an element bitset of more than MAX_MASK_BITS bits raise
-ResourceLimitError (a DomainError, exit 3 in the CLI) before anything of
-that size is allocated.
+MAX_MULTIPLICITY and an element or reachability bitset of more than
+MAX_MASK_BITS bits raise ResourceLimitError (a DomainError, exit 3 in the
+CLI) before anything of that size is allocated.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import (
     EmptyInputError,
@@ -200,6 +208,41 @@ def coprime_pair_frobenius(a: int, b: int) -> int:
     if math.gcd(a, b) != 1:
         raise NonCoprimeError(f"{a} and {b} are not coprime")
     return a * b - a - b
+
+
+def is_minimal_ascending(gens: Sequence[int]) -> bool:
+    """True iff the strictly ascending positive integers gens form a minimal
+    generating set: no generator is a sum of smaller ones.
+
+    A sum of generators that equals gens[j] holds only generators below it,
+    so a bitset of the sums of the smaller generators, clipped at the
+    largest one, decides each generator exactly.  No gcd condition applies.
+
+    Raises ResourceLimitError, before allocating, when that bitset would
+    have more than MAX_MASK_BITS bits.
+    """
+    bound = gens[-1]
+    if bound >= MAX_MASK_BITS:
+        raise ResourceLimitError(
+            f"a reachability bitset of {bound + 1} bits exceeds the budget "
+            f"of {MAX_MASK_BITS} bits")
+    clip = (1 << (bound + 1)) - 1
+    reach = 1
+    for a in gens:
+        if reach >> a & 1:
+            return False
+        reach = _saturate(reach, a, bound, clip)
+    return True
+
+
+def _saturate(reach: int, step: int, bound: int, clip: int) -> int:
+    # close the reachability bitset under adding `step`, up to `bound`
+    # (clip has bits 0..bound set): after the shift by step * 2**i, reach
+    # holds every x + j * step, j < 2**(i + 1), for x it held before
+    while step <= bound:
+        reach |= (reach << step) & clip
+        step <<= 1
+    return reach
 
 
 def _least_residue_table(gens: list[int], m: int) -> list[int]:

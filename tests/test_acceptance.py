@@ -271,9 +271,13 @@ def test_unitary_semigroups_have_divisorial_ideals(corpus200):
     assert not failures, failures[:5]
 
 
-def test_criterion_10_lift_experiment(t4_reports_w8, t5_reports_w8):
-    two_by_two = [r for r in list(t4_reports_w8) + list(t5_reports_w8)
-                  if (r.k, r.m) == (2, 2)]
+def check_lift_experiment(reports):
+    """Acceptance criterion 10 over reports: lift every 2x2 brick and
+    require each lift to re-validate structurally.  Returns the number of
+    2x2 bricks and the counterexamples to the open question, which are
+    printed, never failed: lifts with no coprime quadruple, lifts that are
+    no perfect 2x2 brick, and perfect lifts that are not unitary."""
+    two_by_two = [r for r in reports if (r.k, r.m) == (2, 2)]
     structural_failures = []
     imperfect_lifts = []
     non_unitary_lifts = []
@@ -297,7 +301,6 @@ def test_criterion_10_lift_experiment(t4_reports_w8, t5_reports_w8):
             imperfect_lifts.append((r.s_gens, r.i_gens, res.quad))
         elif len(set(res.quad)) != 4 or not classify(res.quad).is_unitary:
             non_unitary_lifts.append((r.s_gens, r.i_gens, res.quad))
-    # counterexamples to the open question are reported, never a failure
     if degenerate_lifts:
         print(f"lift counterexamples (no coprime quadruple): "
               f"{len(degenerate_lifts)}, e.g. {degenerate_lifts[0]}")
@@ -312,6 +315,11 @@ def test_criterion_10_lift_experiment(t4_reports_w8, t5_reports_w8):
                f"{len(degenerate_lifts)} non-coprime quadruples, "
                f"{len(imperfect_lifts)} imperfect, "
                f"{len(non_unitary_lifts)} non-unitary")
+    return len(two_by_two), degenerate_lifts, imperfect_lifts, non_unitary_lifts
+
+
+def test_criterion_10_lift_experiment(t4_reports_w8, t5_reports_w8):
+    check_lift_experiment(list(t4_reports_w8) + list(t5_reports_w8))
 
 
 T4_GEN48_SHA256 = "c504029b16247e1dbae1bc761aaafc29bff6b6c7a78f0f237f51848ed82d7bcd"

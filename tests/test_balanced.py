@@ -3,10 +3,14 @@ from itertools import permutations
 
 import pytest
 
+import corpus
+from sgbricks import balanced, sgcore
 from sgbricks.balanced import (
     BALANCED,
     NOT_BALANCED,
     UNITARY,
+    Classification,
+    _build_profile,
     apery_partition,
     boundary_sets,
     canonical_brick,
@@ -16,9 +20,9 @@ from sgbricks.balanced import (
     frobenius_of_triple,
     unitary_family,
 )
-from sgbricks.errors import NotUnitaryError, WrongArityError
+from sgbricks.errors import NotUnitaryError, ResourceLimitError, WrongArityError
 from sgbricks.ideal import RelativeIdeal, brick_check
-from sgbricks.sgcore import NumericalSemigroup
+from sgbricks.sgcore import MAX_MASK_BITS, MAX_MULTIPLICITY, NumericalSemigroup
 
 from corpus import balanced_profiles, naive_profiles, unitary_profiles
 from oracles import brute_frobenius
@@ -63,6 +67,81 @@ def test_classify_rejects_each_condition():
     assert classify([10, 14, 15, 21]).reason == "outer and inner pair sums differ"
     # 13 = 3*3 + 4 and 14 = 2*3 + 2*4 make the span collapse to <3, 4>
     assert classify([3, 4, 13, 14]).reason == "not a minimal generating set"
+
+
+def _classify_by_table(gens):
+    # classify as it stood when minimal generation was read off a whole
+    # NumericalSemigroup (an Apery table): the reference for the bitset rule
+    vals = list(gens)
+    if len(vals) != 4:
+        raise WrongArityError(f"expected exactly four values, got {len(vals)}")
+    a = tuple(sorted(vals))
+    if len(set(a)) != 4:
+        return Classification(NOT_BALANCED, reason="values are not strictly ascending")
+    if a[0] < 1:
+        return Classification(NOT_BALANCED, reason="values must be positive")
+    if math.gcd(math.gcd(a[0], a[1]), math.gcd(a[2], a[3])) != 1:
+        return Classification(NOT_BALANCED, reason="overall gcd exceeds 1")
+    for i in range(4):
+        for j in range(i + 1, 4):
+            if a[j] % a[i] == 0:
+                return Classification(
+                    NOT_BALANCED, reason=f"{a[i]} divides {a[j]}")
+    if a[0] + a[3] != a[1] + a[2]:
+        return Classification(
+            NOT_BALANCED, reason="outer and inner pair sums differ")
+    if NumericalSemigroup(a).min_gens != a:
+        return Classification(
+            NOT_BALANCED, reason="not a minimal generating set")
+
+    profile = _build_profile(a)
+    kind = UNITARY if profile.common_quotient == 1 else BALANCED
+    return Classification(kind, profile=profile)
+
+
+@pytest.mark.parametrize("build, bound, calls, non_minimal", [
+    (unitary_profiles, 200, 3_632, 0),
+    (balanced_profiles, 60, 14_161, 713),
+    (naive_profiles, 40, 4_750, 191),
+])
+def test_classify_matches_the_table_rule(monkeypatch, build, bound, calls,
+                                         non_minimal):
+    # every quadruple the corpus builders classify, balanced or not
+    seen = []
+
+    def both(gens):
+        got = classify(gens)
+        assert got == _classify_by_table(gens), gens
+        seen.append(got.reason)
+        return got
+    monkeypatch.setattr(corpus, "classify", both)
+    build(bound)
+    assert len(seen) == calls
+    assert seen.count("not a minimal generating set") == non_minimal
+
+
+def test_classify_builds_no_semigroup(monkeypatch):
+    def refuse(gens):
+        raise AssertionError(f"NumericalSemigroup({gens}) built")
+    monkeypatch.setattr(balanced, "NumericalSemigroup", refuse)
+    monkeypatch.setattr(sgcore, "NumericalSemigroup", refuse)
+    members = [unitary_family(z) for z in range(3, 401)]
+    members = [quad for quad in members if quad is not None]
+    assert len(members) == 319
+    for quad in members:
+        assert classify(quad).is_unitary, quad
+    assert classify((5, 7, 17, 19)).reason == "not a minimal generating set"
+
+
+def test_classify_budget_is_the_bitset():
+    # the bitset has a4 + 1 bits: over the budget it is refused before
+    # allocating, while a multiplicity over MAX_MULTIPLICITY needs no table
+    big = MAX_MASK_BITS + 7
+    with pytest.raises(ResourceLimitError, match="reachability bitset"):
+        classify((3, 5, big, big + 2))
+    quad = unitary_family(16384)
+    assert quad[0] > MAX_MULTIPLICITY
+    assert classify(quad).is_unitary
 
 
 def test_classify_wrong_arity():

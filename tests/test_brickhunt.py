@@ -145,6 +145,18 @@ def test_enumerate_ideals_bounds_and_minimality():
         assert RelativeIdeal(S, gens).min_gens == gens
 
 
+def test_candidate_duals_are_never_principal():
+    # _bad_pairs reads a dual with fewer than two generators as no brick;
+    # its docstring proves that no candidate's dual is principal
+    cfg = SearchConfig(t_min=2, t_max=5, gen_max=20)
+    tested = 0
+    for S in enumerate_semigroups(cfg):
+        for I in enumerate_ideals(S, cfg):
+            assert brick_check(S, I).mu_dual >= 2, (S.min_gens, I.min_gens)
+            tested += 1
+    assert tested == 192_912
+
+
 # ----------------------------------------------------------------- search
 
 @pytest.fixture(scope="module")

@@ -107,6 +107,17 @@ def test_classify_not_balanced(capsys):
     )
 
 
+def test_classify_not_minimal(capsys):
+    # passes every earlier law; 17 = 2 * 5 + 7
+    code, out, _ = invoke(capsys, "classify", "5", "7", "17", "19")
+    assert code == 0
+    assert out == (
+        "quadruple: <5, 7, 17, 19>\n"
+        "classification: not balanced\n"
+        "reason: not a minimal generating set\n"
+    )
+
+
 def test_family(capsys):
     code, out, _ = invoke(capsys, "family", "--z-max", "5")
     assert code == 0

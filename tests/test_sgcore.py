@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from sgbricks.sgcore import (
     MAX_MULTIPLICITY,
     NumericalSemigroup,
     coprime_pair_frobenius,
+    is_minimal_ascending,
 )
 
 from oracles import (
@@ -342,6 +344,51 @@ def test_two_generators_at_large_multiplicity(a, b):
     assert S.apery_set() == tuple(i * b for i in range(a))
     assert S.n_count == (S.frobenius + 1) // 2
     assert S.is_symmetric()
+
+
+# ------------------------------------------------------- minimal generation
+
+def test_minimal_ascending_against_oracle_every_quadruple():
+    # every ascending 4-tuple up to 40, gcd 1 or not
+    minimal = 0
+    for gens in combinations(range(1, 41), 4):
+        want = brute_min_gens(gens) == gens
+        assert is_minimal_ascending(gens) == want, gens
+        minimal += want
+    assert minimal == 29_013
+
+
+@st.composite
+def ascending_quadruples(draw):
+    a1 = draw(st.integers(1, 2000))
+    steps = draw(st.lists(st.integers(1, 2 * a1), min_size=3, max_size=3))
+    gens = [a1]
+    for step in steps:
+        gens.append(gens[-1] + step)
+    return tuple(gens)
+
+
+@given(ascending_quadruples())
+@settings(max_examples=200, deadline=None)
+def test_minimal_ascending_hypothesis(gens):
+    # each generator outside the semigroup of the smaller ones, by sieve
+    want = not any(sieve_members(gens[:j], gens[j])[gens[j]]
+                   for j in range(1, 4))
+    assert is_minimal_ascending(gens) == want
+    if math.gcd(*gens) == 1:
+        assert (NumericalSemigroup(gens).min_gens == gens) == want
+
+
+def test_minimal_ascending_budget_raises_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="reachability bitset"):
+            is_minimal_ascending((3, 5, MAX_MASK_BITS, MAX_MASK_BITS + 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert not is_minimal_ascending((3, 5, MAX_MASK_BITS - 2))
 
 
 # ------------------------------------------------------------ resource guard
