@@ -119,8 +119,20 @@ class SurplusTerm(NamedTuple):
     top: int   # coefficient on a4
 
 
+class _ThreeParts:
+    # the values of the terms in part1, part2 and part3
+    def value_sets(self) -> tuple[set[int], set[int], set[int]]:
+        return ({t.value for t in self.part1},
+                {t.value for t in self.part2},
+                {t.value for t in self.part3})
+
+    def all_values(self) -> set[int]:
+        a, b, c = self.value_sets()
+        return a | b | c
+
+
 @dataclass(frozen=True)
-class AperyPartition:
+class AperyPartition(_ThreeParts):
     """Coefficient-box decomposition of Apery set candidates.
 
     part1 holds t4*a4 for 0 <= t4 < q1, part2 holds t2*a2 + t4*a4 for
@@ -133,18 +145,9 @@ class AperyPartition:
     part2: tuple[PartitionTerm, ...]
     part3: tuple[PartitionTerm, ...]
 
-    def value_sets(self) -> tuple[set[int], set[int], set[int]]:
-        return ({t.value for t in self.part1},
-                {t.value for t in self.part2},
-                {t.value for t in self.part3})
-
-    def all_values(self) -> set[int]:
-        a, b, c = self.value_sets()
-        return a | b | c
-
 
 @dataclass(frozen=True)
-class BoundaryDecomposition:
+class BoundaryDecomposition(_ThreeParts):
     """The members of the quadruple's semigroup that the three smallest
     generators miss, grouped by coefficient shape (each needs at least one
     copy of a4 and strictly fewer copies of a1 than of a4)."""
@@ -153,15 +156,6 @@ class BoundaryDecomposition:
     part2: tuple[SurplusTerm, ...]
     part3: tuple[SurplusTerm, ...]
     predicted_size: int
-
-    def value_sets(self) -> tuple[set[int], set[int], set[int]]:
-        return ({t.value for t in self.part1},
-                {t.value for t in self.part2},
-                {t.value for t in self.part3})
-
-    def all_values(self) -> set[int]:
-        a, b, c = self.value_sets()
-        return a | b | c
 
 
 def classify(gens: Sequence[int]) -> Classification:

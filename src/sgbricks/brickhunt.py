@@ -19,6 +19,12 @@ The search cuts the semigroup walk into chunks of 512 generator tuples and
 fans them out to at most MAX_WORKERS worker processes, which construct and
 scan each semigroup; workers own their result lists and a final sort by
 (semigroup, ideal) generators makes the output independent of scheduling.
+
+One record schema serves both report formats and the read-back: each field
+of BrickReport, its key in the JSON lines, its column in TABLE_HEADER and its
+kind (a generator list, an integer or a bool).  A table cell is the field's
+compact JSON without brackets, and read_reports checks every value against
+its kind, so a malformed record raises InvalidInputError naming its line.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, fields
 from multiprocessing import Pool
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -127,7 +134,11 @@ def enumerate_ideals(S: NumericalSemigroup,
     """Minimal ideals (0, u1, ...) with nonzero offsets up to
     frobenius - multiplicity, smallest size first, lexicographic within a
     size.  Tuples that are not minimal generating sets are never formed:
-    offsets and their pairwise differences are all gaps."""
+    offsets and their pairwise differences are all gaps.  No brick is lost
+    above frobenius - multiplicity: tests/test_brickhunt.py
+    (test_offset_bound_loses_no_brick) runs brick_check on every minimal
+    candidate with an offset in that band, over five spaces at the default
+    cap and at cap 4, and finds none."""
     top = S.frobenius - S.multiplicity
     if S.frobenius < 0 or top < 1:
         return
@@ -399,29 +410,41 @@ def _bad_pairs(emask, smask, diffs, wanted, pairs):
 
 # ------------------------------------------------------------------ reports
 
+# a field holds one JSON value: a non-empty list of integers, an integer or
+# a bool; its table cell is that value's compact JSON without brackets
+_KINDS = {list: "a list of integers", int: "an integer", bool: "true or false"}
+# (field name, line key, table column, kind) in BrickReport's field order
+_SCHEMA = tuple(
+    (f.name, key, column, {"tuple[int, ...]": list, "int": int,
+                           "bool": bool}[f.type])
+    for f, key, column in zip(
+        fields(BrickReport),
+        ("s", "i", "dual", "k", "m", "perfect", "mult", "frob"),
+        TABLE_HEADER.split(";"), strict=True))
+
+
+def _decode(label: str, raw, kind: type, cell: bool):
+    # the field value of a JSON value, or of a table cell for cell=True
+    value = raw
+    if cell:
+        try:
+            value = json.loads(f"[{raw}]" if kind is list else raw)
+        except json.JSONDecodeError:
+            value = None  # of no kind: reported below
+    if type(value) is kind and (kind is not list or value and all(
+            type(x) is int for x in value)):
+        return tuple(value) if kind is list else value
+    raise ValueError(f"{label}: expected {_KINDS[kind]}, got {raw!r}")
+
+
 def render_report(report: BrickReport, fmt: str = "line") -> str:
     if fmt == "line":
-        return json.dumps({
-            "s": list(report.s_gens),
-            "i": list(report.i_gens),
-            "dual": list(report.dual_gens),
-            "k": report.k,
-            "m": report.m,
-            "perfect": report.perfect,
-            "mult": report.multiplicity,
-            "frob": report.frobenius,
-        })
+        return json.dumps({key: getattr(report, name)
+                           for name, key, _, _ in _SCHEMA})
     if fmt == "table":
-        return ";".join([
-            ",".join(map(str, report.s_gens)),
-            ",".join(map(str, report.i_gens)),
-            ",".join(map(str, report.dual_gens)),
-            str(report.k),
-            str(report.m),
-            "true" if report.perfect else "false",
-            str(report.multiplicity),
-            str(report.frobenius),
-        ])
+        return ";".join(
+            json.dumps(getattr(report, name), separators=(",", ":")).strip("[]")
+            for name, *_ in _SCHEMA)
     raise InvalidInputError(f"unknown report format {fmt!r}")
 
 
@@ -446,70 +469,66 @@ def write_reports(reports: Iterable[BrickReport],
 
 def read_reports(source: str | Path | IO[str],
                  fmt: str = "line") -> list[BrickReport]:
-    """Parse the output of write_reports back into report records."""
+    """Parse the output of write_reports back into report records, skipping
+    blank lines.  A malformed record (not a JSON object, a missing key, a
+    wrong cell count, a value of the wrong kind) raises InvalidInputError
+    naming its 1-based line."""
+    if fmt not in ("line", "table"):
+        raise InvalidInputError(f"unknown report format {fmt!r}")
     if hasattr(source, "read"):
         text = source.read()
     else:
         text = Path(source).read_text()
-    lines = [line for line in text.splitlines() if line]
-    out = []
-    if fmt == "line":
-        for line in lines:
-            obj = json.loads(line)
-            out.append(BrickReport(
-                s_gens=tuple(obj["s"]),
-                i_gens=tuple(obj["i"]),
-                dual_gens=tuple(obj["dual"]),
-                k=obj["k"],
-                m=obj["m"],
-                perfect=obj["perfect"],
-                multiplicity=obj["mult"],
-                frobenius=obj["frob"],
-            ))
-        return out
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line]
     if fmt == "table":
-        if not lines or lines[0] != TABLE_HEADER:
+        if not lines or lines[0][1] != TABLE_HEADER:
             raise InvalidInputError("missing table header")
-        for line in lines[1:]:
-            s, i, dual, k, m, perfect, mult, frob = line.split(";")
-            out.append(BrickReport(
-                s_gens=tuple(int(x) for x in s.split(",")),
-                i_gens=tuple(int(x) for x in i.split(",")),
-                dual_gens=tuple(int(x) for x in dual.split(",")),
-                k=int(k),
-                m=int(m),
-                perfect=perfect == "true",
-                multiplicity=int(mult),
-                frobenius=int(frob),
-            ))
-        return out
-    raise InvalidInputError(f"unknown report format {fmt!r}")
+        del lines[0]
+    out = []
+    for n, line in lines:
+        try:
+            out.append(BrickReport(*_read_record(line, fmt)))
+        except ValueError as exc:
+            raise InvalidInputError(f"line {n}: {exc}") from None
+    return out
+
+
+def _read_record(line: str, fmt: str) -> list:
+    # the field values of one record; a ValueError names what is malformed
+    if fmt == "line":
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            obj = None
+        if not isinstance(obj, dict):
+            raise ValueError("not a JSON object")
+        missing = [key for _, key, _, _ in _SCHEMA if key not in obj]
+        if missing:
+            raise ValueError(f"missing key {missing[0]!r}")
+        return [_decode(key, obj[key], kind, False)
+                for _, key, _, kind in _SCHEMA]
+    cells = line.split(";")
+    if len(cells) != len(_SCHEMA):
+        raise ValueError(f"expected {len(_SCHEMA)} cells, got {len(cells)}")
+    return [_decode(column, cell, kind, True)
+            for (_, _, column, kind), cell in zip(_SCHEMA, cells)]
 
 
 def summarize(reports: list[BrickReport]) -> str:
     """Counts by dimension, by multiplicity and of perfect hits, plus both
     the pair count and the distinct-semigroup count."""
-    dims: dict[str, int] = {}
-    mults: dict[int, int] = {}
-    perfect_dims: dict[str, int] = {}
-    semis = set()
-    perfect_count = 0
-    for r in reports:
-        key = f"{r.k}x{r.m}"
-        dims[key] = dims.get(key, 0) + 1
-        mults[r.multiplicity] = mults.get(r.multiplicity, 0) + 1
-        semis.add(r.s_gens)
-        if r.perfect:
-            perfect_count += 1
-            perfect_dims[key] = perfect_dims.get(key, 0) + 1
-    lines = [
-        f"bricks: {len(reports)} pairs, {len(semis)} distinct semigroups, "
-        f"{perfect_count} perfect",
-        "by dimensions: " + (" ".join(
-            f"{k}={v}" for k, v in sorted(dims.items())) or "none"),
-        "by multiplicity: " + (" ".join(
-            f"{k}={v}" for k, v in sorted(mults.items())) or "none"),
-        "perfect by dimensions: " + (" ".join(
-            f"{k}={v}" for k, v in sorted(perfect_dims.items())) or "none"),
-    ]
-    return "\n".join(lines)
+    dims = Counter(f"{r.k}x{r.m}" for r in reports)
+    mults = Counter(r.multiplicity for r in reports)
+    perfect_dims = Counter(f"{r.k}x{r.m}" for r in reports if r.perfect)
+
+    def counts(counter: Counter) -> str:
+        return " ".join(f"{k}={v}" for k, v in sorted(counter.items())) or "none"
+
+    return "\n".join([
+        f"bricks: {len(reports)} pairs, "
+        f"{len({r.s_gens for r in reports})} distinct semigroups, "
+        f"{perfect_dims.total()} perfect",
+        "by dimensions: " + counts(dims),
+        "by multiplicity: " + counts(mults),
+        "perfect by dimensions: " + counts(perfect_dims),
+    ])

@@ -2,6 +2,8 @@
 
 Commands: analyze, dual, brick, classify, family, lift, search.  Commands
 taking a semigroup and an ideal separate the two integer lists with `--`.
+family and search share one option parser; search's flags map onto
+SearchConfig fields, so the search defaults live only in SearchConfig.
 Exit status: 0 success, 2 usage error, 3 domain validation error, 4 I/O
 failure; errors go to stderr as one machine-readable line.
 """
@@ -105,6 +107,26 @@ def _split_pair(tokens: list[str]) -> tuple[list[int], list[int]]:
             _int_list(tokens[cut + 1:], "ideal generators"))
 
 
+def _options(args: list[str], flags: dict[str, str],
+             switches: tuple[str, ...] = (), text: tuple[str, ...] = ()) -> dict:
+    # options keyed by the names flags maps them to: True for a flag in
+    # switches, else the next token, an integer unless the flag is in text
+    options: dict = {}
+    tokens = iter(args)
+    for token in tokens:
+        if token not in flags:
+            raise UsageError(f"unknown option {token!r}")
+        name = flags[token]
+        if token in switches:
+            options[name] = True
+            continue
+        value = next(tokens, None)
+        if value is None:
+            raise UsageError(f"{token} needs a value")
+        options[name] = value if token in text else _int(value)
+    return options
+
+
 def _fmt_sg(gens) -> str:
     return "<" + ", ".join(map(str, gens)) + ">"
 
@@ -178,16 +200,7 @@ def _cmd_classify(args: list[str]) -> None:
 
 
 def _cmd_family(args: list[str]) -> None:
-    z_max = None
-    i = 0
-    while i < len(args):
-        if args[i] == "--z-max":
-            if i + 1 >= len(args):
-                raise UsageError("--z-max needs a value")
-            z_max = _int(args[i + 1])
-            i += 2
-        else:
-            raise UsageError(f"unknown option {args[i]!r}")
+    z_max = _options(args, {"--z-max": "z_max"}).get("z_max")
     if z_max is None:
         raise UsageError("family requires --z-max")
     for z in range(3, z_max + 1):
@@ -218,47 +231,22 @@ def _cmd_lift(args: list[str]) -> None:
 
 
 def _cmd_search(args: list[str]) -> None:
-    options = {"t_min": 2, "t_max": 5, "gen_max": None, "mu_cap": None,
-               "workers": 1, "fmt": "line", "out": None, "perfect_only": False}
-    flags = {"--t-min": "t_min", "--t-max": "t_max", "--gen-max": "gen_max",
-             "--mu-cap": "mu_cap", "--workers": "workers"}
-    i = 0
-    while i < len(args):
-        token = args[i]
-        if token in flags:
-            if i + 1 >= len(args):
-                raise UsageError(f"{token} needs a value")
-            options[flags[token]] = _int(args[i + 1])
-            i += 2
-        elif token == "--perfect-only":
-            options["perfect_only"] = True
-            i += 1
-        elif token == "--format":
-            if i + 1 >= len(args) or args[i + 1] not in ("line", "table"):
-                raise UsageError("--format needs `line` or `table`")
-            options["fmt"] = args[i + 1]
-            i += 2
-        elif token == "--out":
-            if i + 1 >= len(args):
-                raise UsageError("--out needs a path")
-            options["out"] = args[i + 1]
-            i += 2
-        else:
-            raise UsageError(f"unknown option {token!r}")
-    if options["gen_max"] is None:
+    # fmt and out pick the report; every other name is a SearchConfig
+    # field, whose defaults apply to the flags not given
+    options = _options(
+        args, {"--t-min": "t_min", "--t-max": "t_max", "--gen-max": "gen_max",
+               "--mu-cap": "mu_cap", "--workers": "worker_count",
+               "--perfect-only": "perfect_only", "--format": "fmt",
+               "--out": "out"},
+        switches=("--perfect-only",), text=("--format", "--out"))
+    fmt = options.pop("fmt", "line")
+    if fmt not in ("line", "table"):
+        raise UsageError("--format needs `line` or `table`")
+    out = options.pop("out", sys.stdout)
+    if "gen_max" not in options:
         raise UsageError("search requires --gen-max")
-
-    config = SearchConfig(
-        t_min=options["t_min"],
-        t_max=options["t_max"],
-        gen_max=options["gen_max"],
-        mu_cap=options["mu_cap"],
-        perfect_only=options["perfect_only"],
-        worker_count=options["workers"],
-    )
-    reports = search(config)
-    out = sys.stdout if options["out"] is None else options["out"]
-    write_reports(reports, out, options["fmt"])
+    reports = search(SearchConfig(**options))
+    write_reports(reports, out, fmt)
     print(summarize(reports), file=sys.stderr)
 
 

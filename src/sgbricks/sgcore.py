@@ -178,10 +178,7 @@ class NumericalSemigroup:
                 top = min(limit, frob)
                 clip = (1 << (top + 1)) - 1
                 for a in self.min_gens:
-                    step = a
-                    while step <= top:
-                        mask |= (mask << step) & clip
-                        step <<= 1
+                    mask = _saturate(mask, a, top, clip)
             if limit > frob:
                 mask |= (1 << (limit + 1)) - (1 << (frob + 1))
             self._mask = mask

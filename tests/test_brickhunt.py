@@ -157,6 +157,36 @@ def test_candidate_duals_are_never_principal():
     assert tested == 192_912
 
 
+@pytest.mark.parametrize("t, gen_max, mu_cap, candidates", [
+    (4, 22, None, 21_479), (3, 26, None, 1_537), (5, 20, None, 18_553),
+    (4, 18, 4, 13_809), (3, 20, 4, 4_670)])
+def test_offset_bound_loses_no_brick(t, gen_max, mu_cap, candidates):
+    # enumerate_ideals stops the offsets at F - m (Frobenius number minus
+    # multiplicity): no minimal candidate (0, u, ...) whose offsets are gaps
+    # up to F, one of them above F - m, is a brick at the space's cap
+    cfg = SearchConfig(t_min=t, t_max=t, gen_max=gen_max, mu_cap=mu_cap)
+    cap = cfg.cap_for(t)
+    tested = 0
+    for S in enumerate_semigroups(cfg):
+        top = S.frobenius - S.multiplicity
+        gaps = [g for g in range(1, S.frobenius + 1) if g not in S]
+        is_gap = set(gaps).__contains__
+
+        def grow(gens):
+            if len(gens) >= 2 and gens[-1] > top:
+                yield gens
+            if len(gens) < cap:
+                for g in gaps:
+                    if g > gens[-1] and all(is_gap(g - a) for a in gens):
+                        yield from grow(gens + (g,))
+
+        for gens in grow((0,)):
+            check = brick_check(S, RelativeIdeal._trusted(S, gens))
+            assert not check.is_brick, (S.min_gens, gens)
+            tested += 1
+    assert tested == candidates
+
+
 # ----------------------------------------------------------------- search
 
 @pytest.fixture(scope="module")
@@ -376,3 +406,49 @@ def test_summarize():
     empty = summarize([])
     assert "bricks: 0 pairs, 0 distinct semigroups, 0 perfect" in empty
     assert "by dimensions: none" in empty
+
+
+def test_round_trip_whole_search(t4_gen27_reports):
+    for fmt in ("line", "table"):
+        text = render_reports(t4_gen27_reports, fmt)
+        assert read_reports(io.StringIO(text), fmt) == t4_gen27_reports
+
+
+def test_summarize_full_text(t4_gen27_reports):
+    assert summarize(t4_gen27_reports) == (
+        "bricks: 76 pairs, 53 distinct semigroups, 8 perfect\n"
+        "by dimensions: 2x2=16 2x3=9 2x4=41 2x5=2 3x2=8\n"
+        "by multiplicity: 10=8 12=6 14=4 15=32 16=5 18=21\n"
+        "perfect by dimensions: 2x2=8")
+    assert summarize([]) == (
+        "bricks: 0 pairs, 0 distinct semigroups, 0 perfect\n"
+        "by dimensions: none\n"
+        "by multiplicity: none\n"
+        "perfect by dimensions: none")
+
+
+GOOD_LINE = render_reports(SAMPLE[:1]).rstrip("\n")
+GOOD_ROW = render_reports(SAMPLE[:1], "table").splitlines()[1]
+
+
+@pytest.mark.parametrize("fmt, lines, bad_line", [
+    ("line", [GOOD_LINE, GOOD_LINE.replace(', "frob": 187', "")], 2),
+    ("line", [GOOD_LINE, "", "not json"], 3),
+    ("line", ['[1, 2]'], 1),
+    ("line", [GOOD_LINE.replace('"k": 2', '"k": "2"')], 1),
+    ("line", [GOOD_LINE.replace('"perfect": true', '"perfect": 1')], 1),
+    ("line", [GOOD_LINE.replace('"i": [0, 1]', '"i": []')], 1),
+    ("table", [TABLE_HEADER, GOOD_ROW, "1,2;3"], 3),
+    ("table", [TABLE_HEADER, GOOD_ROW + ";1"], 2),
+    ("table", [TABLE_HEADER, GOOD_ROW.replace("24,25", "1,x", 1)], 2),
+    ("table", [TABLE_HEADER, GOOD_ROW.replace("true", "maybe")], 2),
+    ("table", [TABLE_HEADER, GOOD_ROW.replace(";2;2;", ";2;;")], 2),
+    ("table", [TABLE_HEADER, GOOD_ROW.replace(";24;", ";true;")], 2),
+], ids=["line-missing-key", "line-not-json", "line-not-object",
+        "line-int-as-text", "line-int-as-bool", "line-empty-gens",
+        "table-two-cells", "table-nine-cells", "table-bad-int",
+        "table-perfect-maybe", "table-empty-cell", "table-bool-as-int"])
+def test_read_reports_rejects_malformed(fmt, lines, bad_line):
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(InvalidInputError, match=f"^line {bad_line}: "):
+        read_reports(io.StringIO(text), fmt)

@@ -287,3 +287,18 @@ def test_search_bad_config_is_domain_error(capsys):
     code, _, err = invoke(capsys, "search", "--gen-max", "10", "--t-min", "1")
     assert code == 3
     assert err.startswith("error: invalid-input:")
+
+
+@pytest.mark.parametrize("args, named", [
+    (("search", "--gen-max", "10", "--bogus"), "'--bogus'"),
+    (("search", "--t-min"), "--t-min"),
+    (("search", "--gen-max", "10", "--format", "csv"), "--format"),
+    (("family",), "--z-max"),
+    (("family", "--z-max"), "--z-max"),
+    (("family", "--z-max", "x"), "'x'"),
+], ids=["unknown-option", "missing-value", "bad-format", "family-no-z-max",
+        "family-missing-value", "family-not-an-integer"])
+def test_option_usage_errors(capsys, args, named):
+    code, out, err = invoke(capsys, *args)
+    assert code == 2 and out == ""
+    assert err.startswith("error: usage: ") and named in err
