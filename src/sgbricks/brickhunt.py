@@ -68,6 +68,13 @@ class SearchConfig:
     worker_count: int = 1
 
     def __post_init__(self):
+        for name in ("t_min", "t_max", "gen_max", "mu_cap", "worker_count"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "mu_cap" and value is None):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+        if type(self.perfect_only) is not bool:
+            raise InvalidInputError(
+                f"perfect_only must be a bool, got {self.perfect_only!r}")
         if self.t_min < 2:
             raise InvalidInputError("t_min must be at least 2")
         if self.t_max < self.t_min:

@@ -1,9 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer check.
 
 Every validation failure derives from DomainError so callers (notably the
 CLI) can separate bad mathematical input from usage and I/O problems.  Each
 class carries a stable machine-readable ``code``.
 """
+
+from __future__ import annotations
+
+from typing import Iterable
 
 
 class DomainError(ValueError):
@@ -70,3 +74,17 @@ class ResourceLimitError(DomainError):
     """An input whose tables or bitsets would exceed a documented budget."""
 
     code = "resource-limit"
+
+
+def require_ints(values: Iterable[object], what: str) -> list[int]:
+    """The values as a list, after checking that each is exactly an int.
+
+    bool is refused although it subclasses int.  Callers check before they
+    sort or deduplicate, so a value of another type raises InvalidInputError
+    here instead of a TypeError from a comparison.
+    """
+    values = list(values)
+    for x in values:
+        if type(x) is not int:
+            raise InvalidInputError(f"{what} {x!r} is not an integer")
+    return values

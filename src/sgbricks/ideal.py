@@ -7,8 +7,9 @@ The pair (S, I) multiplies like a brick when the minimal generating sets
 obey mu(I) * mu(S - I) = mu(I + (S - I)).
 
 The dual and sum computations run on integer bitsets whose window is
-frobenius + multiplicity past the ideal's span (dual_window).  Shift I so
-that min(I) = 0.  Then S - I lies in S and holds every integer above the
+frobenius + multiplicity past the ideal's span (dual_window, which the
+search shares; the hot paths here spell it out).  Shift I so that
+min(I) = 0.  Then S - I lies in S and holds every integer above the
 Frobenius number F.  For any two ideals I and J shifted to min(I) =
 min(J) = 0, the sum I + J holds 0, so it contains S and also holds every
 integer above F.  A relative ideal that holds every integer above F has no
@@ -17,14 +18,19 @@ in the ideal, and x lies in its coset.  A sum I + J is the union of J's
 element bitset shifted by each generator of I; J's own bitset is the union
 of S's shifted by each generator of J.  I + (S - I) in brick_check shifts
 the dual's bitset the same way.
+
+Three helpers carry the bitset work: _shifted_dual builds the bitset of
+(S - I) + min(I), _shift_union ORs shifted copies of a bitset, and
+_mask_min_gens reads the minimal generators off a bitset in the strip
+[0, F + m].  dual(), + and brick_check call them directly, and build each
+result ideal once from the generator list (RelativeIdeal._trusted).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple, Sequence
 
-from .errors import EmptyInputError, InvalidInputError, ParentMismatchError
+from .errors import EmptyInputError, ParentMismatchError, require_ints
 from .sgcore import NumericalSemigroup
 
 
@@ -39,12 +45,9 @@ class RelativeIdeal:
     __slots__ = ("parent", "min_gens")
 
     def __init__(self, parent: NumericalSemigroup, gens: Iterable[int]):
-        gens = sorted(set(gens))
+        gens = sorted(set(require_ints(gens, "offset")))
         if not gens:
             raise EmptyInputError("an ideal needs at least one generator")
-        for z in gens:
-            if not isinstance(z, int):
-                raise InvalidInputError(f"offset {z!r} is not an integer")
         # z is redundant iff it lands in the coset of a smaller kept offset.
         # The least offset always stays, and covers every offset more than
         # frobenius above it; bit z - lo of cover marks the covered offsets.
@@ -61,13 +64,13 @@ class RelativeIdeal:
         self.parent = parent
         self.min_gens = tuple(kept)
 
-    @classmethod
-    def _trusted(cls, parent: NumericalSemigroup,
-                 gens: tuple[int, ...]) -> "RelativeIdeal":
+    @staticmethod
+    def _trusted(parent: NumericalSemigroup,
+                 gens: Sequence[int]) -> "RelativeIdeal":
         # gens must already be an ascending minimal generating set
-        ideal = cls.__new__(cls)
+        ideal = object.__new__(RelativeIdeal)
         ideal.parent = parent
-        ideal.min_gens = gens
+        ideal.min_gens = tuple(gens)
         return ideal
 
     @property
@@ -80,23 +83,25 @@ class RelativeIdeal:
 
     def dual(self) -> "RelativeIdeal":
         """The relative ideal of all z with z + (this ideal) inside the parent."""
-        off, _, _, gens = _shifted_dual(self)
-        return RelativeIdeal._trusted(self.parent, tuple(w - off for w in gens))
+        S = self.parent
+        off, emask = _shifted_dual(self)
+        return RelativeIdeal._trusted(
+            S, [w - off for w in _mask_min_gens(emask, S)])
 
     def __add__(self, other: "RelativeIdeal") -> "RelativeIdeal":
         if not isinstance(other, RelativeIdeal):
             return NotImplemented
-        if other.parent != self.parent:
-            raise ParentMismatchError("ideals live over different semigroups")
         S = self.parent
+        if other.parent is not S and other.parent != S:
+            raise ParentMismatchError("ideals live over different semigroups")
         a0, b0 = self.min_gens[0], other.min_gens[0]
         # (I - a0) + (J - b0) is complete through the trusted strip, which
         # holds all its minimal generators
-        jmask = _shift_union(S.element_mask(dual_window(S, 0)),
-                             [b - b0 for b in other.min_gens])
-        kmask = _shift_union(jmask, [a - a0 for a in self.min_gens])
+        jmask = _shift_union(S.element_mask(S.frobenius + S.multiplicity),
+                             other.min_gens, b0)
+        kmask = _shift_union(jmask, self.min_gens, a0)
         return RelativeIdeal._trusted(
-            S, tuple(g + a0 + b0 for g in _mask_min_gens(kmask, S)))
+            S, [g + a0 + b0 for g in _mask_min_gens(kmask, S)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RelativeIdeal):
@@ -112,8 +117,7 @@ class RelativeIdeal:
         return f"RelativeIdeal(({inner}) over {self.parent!r})"
 
 
-@dataclass(frozen=True)
-class BrickCheck:
+class BrickCheck(NamedTuple):
     """Outcome of the brick test for a pair (S, I).
 
     mu_sum never exceeds mu_ideal * mu_dual; a brick attains equality with a
@@ -138,27 +142,27 @@ def maximal_ideal(S: NumericalSemigroup) -> RelativeIdeal:
 
 def brick_check(S: NumericalSemigroup, I: RelativeIdeal) -> BrickCheck:
     """Compute the dual and the sum I + (S - I) and test the brick equality."""
-    if I.parent != S:
+    if I.parent is not S and I.parent != S:
         raise ParentMismatchError("ideal does not belong to this semigroup")
-    k = I.mu
-    off, shifted, dmask, dual_shifted = _shifted_dual(I)
-    dual = RelativeIdeal._trusted(S, tuple(w - off for w in dual_shifted))
-
+    off, dmask = _shifted_dual(I)
+    dual_gens = _mask_min_gens(dmask, S)
     # I + (S - I) in 0-based offsets (the two shifts by off cancel) is the
     # union of the dual shifted by each offset of I.  The dual's bitset is
     # complete through the trusted strip [0, F + m], which holds every
     # minimal generator of the sum.
-    total_gens = _mask_min_gens(_shift_union(dmask, shifted), S)
-    total = RelativeIdeal._trusted(S, tuple(total_gens))
+    total = RelativeIdeal._trusted(
+        S, _mask_min_gens(_shift_union(dmask, I.min_gens, off), S))
 
-    mu_dual = len(dual_shifted)
-    mu_sum = len(total_gens)
+    k = len(I.min_gens)
+    mu_dual = len(dual_gens)
+    mu_sum = len(total.min_gens)
     if mu_sum > k * mu_dual:
         raise RuntimeError(
             f"sum of {I!r} and its dual has {mu_sum} minimal generators, "
             f"more than the {k} * {mu_dual} pairwise sums")
     is_brick = k >= 2 and k * mu_dual == mu_sum
     is_perfect = is_brick and total.min_gens == S.min_gens
+    dual = RelativeIdeal._trusted(S, [w - off for w in dual_gens])
     return BrickCheck(k, mu_dual, mu_sum, is_brick, is_perfect, dual, total)
 
 
@@ -171,25 +175,25 @@ def dual_window(S: NumericalSemigroup, span: int) -> int:
     return S.frobenius + S.multiplicity + span
 
 
-def _shifted_dual(I: RelativeIdeal) -> tuple[int, list[int], int, list[int]]:
-    # The dual of I - off, where off = min(I): returns off, the shifted
-    # offsets, the dual's element bitset (complete through F + m) and its
-    # minimal generators in shifted terms (shift them back by -off).
+def _shifted_dual(I: RelativeIdeal) -> tuple[int, int]:
+    # The dual of I - off, where off = min(I): returns off and the dual's
+    # element bitset, complete through F + m.  Its minimal generators, read
+    # off by _mask_min_gens, are in shifted terms (shift them back by -off).
     S = I.parent
-    off = I.min_gens[0]
-    shifted = [z - off for z in I.min_gens]
-    smask = S.element_mask(dual_window(S, shifted[-1]))
+    gens = I.min_gens
+    off = gens[0]
+    smask = S.element_mask(S.frobenius + S.multiplicity + gens[-1] - off)
     emask = smask
-    for z in shifted[1:]:
-        emask &= smask >> z
-    return off, shifted, emask, _mask_min_gens(emask, S)
+    for z in gens[1:]:
+        emask &= smask >> (z - off)
+    return off, emask
 
 
-def _shift_union(mask: int, offsets: Iterable[int]) -> int:
-    # the bitset of the union of mask shifted up by each offset
+def _shift_union(mask: int, offsets: Iterable[int], base: int = 0) -> int:
+    # the bitset of the union of mask shifted up by each offset less base
     out = 0
     for z in offsets:
-        out |= mask << z
+        out |= mask << (z - base)
     return out
 
 
@@ -199,7 +203,7 @@ def _mask_min_gens(emask: int, S: NumericalSemigroup) -> list[int]:
     # (complete through the trusted strip [0, F + m], which holds them
     # all): x is one iff x is in J and x - a is not, for every minimal
     # generator a of S.
-    emask &= (1 << (dual_window(S, 0) + 1)) - 1
+    emask &= (2 << (S.frobenius + S.multiplicity)) - 1
     return _bits(emask & ~_shift_union(emask, S.min_gens))
 
 

@@ -37,6 +37,7 @@ from .errors import (
     InvalidInputError,
     NonCoprimeError,
     ResourceLimitError,
+    require_ints,
 )
 
 INT64_MAX = 2**63 - 1
@@ -71,12 +72,9 @@ class NumericalSemigroup:
                  "n_count", "_mask", "_mask_limit")
 
     def __init__(self, gens: Iterable[int]):
-        gens = sorted(set(gens))
+        gens = sorted(set(require_ints(gens, "generator")))
         if not gens:
             raise EmptyInputError("at least one generator is required")
-        for a in gens:
-            if not isinstance(a, int):
-                raise InvalidInputError(f"generator {a!r} is not an integer")
         if gens[0] < 1:
             raise InvalidInputError("generators must be positive")
         if gens[-1] > INT64_MAX:
@@ -200,6 +198,7 @@ class NumericalSemigroup:
 def coprime_pair_frobenius(a: int, b: int) -> int:
     """Frobenius number of the semigroup generated by two coprime integers
     greater than 1: a * b - a - b."""
+    require_ints((a, b), "generator")
     if a < 2 or b < 2:
         raise InvalidInputError("both generators must exceed 1")
     if math.gcd(a, b) != 1:

@@ -20,7 +20,12 @@ from sgbricks.balanced import (
     frobenius_of_triple,
     unitary_family,
 )
-from sgbricks.errors import NotUnitaryError, ResourceLimitError, WrongArityError
+from sgbricks.errors import (
+    InvalidInputError,
+    NotUnitaryError,
+    ResourceLimitError,
+    WrongArityError,
+)
 from sgbricks.ideal import RelativeIdeal, brick_check
 from sgbricks.sgcore import MAX_MASK_BITS, MAX_MULTIPLICITY, NumericalSemigroup
 
@@ -149,6 +154,17 @@ def test_classify_wrong_arity():
         classify([14, 15, 20])
     with pytest.raises(WrongArityError):
         classify([14, 15, 20, 21, 25])
+
+
+def test_non_integer_input():
+    # checked before sorting, so a string cannot raise TypeError from a
+    # comparison; a float z would give a quadruple of floats
+    for gens in (["1", 2, 3, 4], [14, 15, 20, 21.0], [True, 15, 20, 21]):
+        with pytest.raises(InvalidInputError, match="is not an integer"):
+            classify(gens)
+    for z in (3.5, 3.0, True, "3"):
+        with pytest.raises(InvalidInputError, match="is not an integer"):
+            unitary_family(z)
 
 
 # --------------------------------------------------------- apery partition

@@ -45,6 +45,15 @@ def test_config_validation():
         SearchConfig(mu_cap=1)
     with pytest.raises(InvalidInputError):
         SearchConfig(worker_count=0)
+    # every bound is exactly an int: search shifts by gen_max, and a bool
+    # worker count would run as one worker
+    for fields in ({"gen_max": 10.5}, {"worker_count": True}, {"t_min": 2.0},
+                   {"t_max": "5"}, {"mu_cap": 3.0}):
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            SearchConfig(**fields)
+    # a non-empty string would read as true
+    with pytest.raises(InvalidInputError, match="must be a bool"):
+        SearchConfig(perfect_only="no")
 
 
 def test_worker_budget(monkeypatch):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sgbricks.errors import EmptyInputError, ParentMismatchError
+from sgbricks.brickhunt import lift
+from sgbricks.errors import EmptyInputError, InvalidInputError, ParentMismatchError
 from sgbricks.ideal import (
     RelativeIdeal,
     _mask_min_gens,
@@ -153,6 +154,29 @@ def test_cited_bricks_reproduce_exactly(sgens, igens, dual_gens, k, m):
 def test_empty_ideal(S12):
     with pytest.raises(EmptyInputError):
         RelativeIdeal(S12, [])
+
+
+def test_non_integer_offsets(S12):
+    # checked before sorting, so a string cannot raise TypeError from a
+    # comparison; [False, True] would give min_gens (False, 1)
+    for offsets in (["x", 3], [3, "x"], [False, True], [0, True], [0, 2.0]):
+        with pytest.raises(InvalidInputError, match="is not an integer"):
+            RelativeIdeal(S12, offsets)
+
+
+def test_parent_built_twice_is_one_parent():
+    # the same semigroup built twice is an equal parent, not a foreign one
+    S = NumericalSemigroup([10, 14, 21, 25])
+    S_copy = NumericalSemigroup(S.min_gens)
+    assert S_copy is not S
+    I = RelativeIdeal(S, (0, 4))
+    D = I.dual()
+    shared = brick_check(S, I)
+    assert shared.is_perfect and shared.mu_dual == 2
+    assert I + RelativeIdeal(S_copy, D.min_gens) == I + D == shared.sum_ideal
+    assert RelativeIdeal(S_copy, I.min_gens) + D == I + D
+    assert brick_check(S_copy, I) == shared
+    assert lift(S_copy, I) == lift(S, I)
 
 
 def test_parent_mismatch(S12):

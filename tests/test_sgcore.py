@@ -90,6 +90,9 @@ def test_coprime_pair_formula():
         coprime_pair_frobenius(6, 9)
     with pytest.raises(InvalidInputError):
         coprime_pair_frobenius(1, 5)
+    # math.gcd would raise TypeError on a float
+    with pytest.raises(InvalidInputError, match="is not an integer"):
+        coprime_pair_frobenius(2.5, 3)
 
 
 @given(st.integers(2, 60), st.integers(2, 60))
@@ -137,6 +140,11 @@ def test_non_positive():
 def test_non_integer():
     with pytest.raises(InvalidInputError):
         NumericalSemigroup([2.5, 3])
+    # checked before sorting, so a string cannot raise TypeError from a
+    # comparison; a bool is not the integer it subclasses
+    for gens in (["a", 3], [3, "a"], [True, 3], [2, 3, False]):
+        with pytest.raises(InvalidInputError, match="is not an integer"):
+            NumericalSemigroup(gens)
 
 
 def test_overflow_guard():
