@@ -18,12 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .errors import (
-    InvalidInputError,
-    NotUnitaryError,
-    WrongArityError,
-    require_ints,
-)
+from .errors import NotUnitaryError, WrongArityError, require_ints
 from .sgcore import NumericalSemigroup, is_minimal_ascending
 
 NOT_BALANCED = "not balanced"
@@ -298,8 +293,7 @@ def unitary_family(z: int) -> tuple[int, int, int, int] | None:
     """The one-parameter family 2(2z+1), 5z, 5(z+1), 3(2z+1): a unitary
     quadruple for every z >= 3 with 2z + 1 not divisible by 5.  Returns None
     when z is outside the family."""
-    if type(z) is not int:
-        raise InvalidInputError(f"z {z!r} is not an integer")
+    require_ints((z,), "z")
     if z < 3 or (2 * z + 1) % 5 == 0:
         return None
     quad = sorted((2 * (2 * z + 1), 5 * z, 5 * (z + 1), 3 * (2 * z + 1)))

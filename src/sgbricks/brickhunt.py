@@ -45,9 +45,10 @@ from .errors import (
     ResourceLimitError,
     ZeroNotGeneratorError,
 )
-from .ideal import BrickCheck, RelativeIdeal, _bits, brick_check, dual_window
-from .sgcore import NumericalSemigroup, _saturate
+from .ideal import BrickCheck, RelativeIdeal, _bits, brick_check
+from .sgcore import MAX_MASK_BITS, NumericalSemigroup, _saturate
 
+REPORT_FORMATS = ("line", "table")
 TABLE_HEADER = "s_gens;i_gens;dual_gens;k;m;perfect;mult;frob"
 MAX_WORKERS = 256  # one process each: more only exhausts the process table
 
@@ -81,6 +82,11 @@ class SearchConfig:
             raise InvalidInputError("t_max must be at least t_min")
         if self.gen_max < 2:
             raise InvalidInputError("gen_max must be at least 2")
+        if self.gen_max >= MAX_MASK_BITS:
+            # the semigroup walk's reachability bitset has gen_max + 1 bits
+            raise ResourceLimitError(
+                f"a reachability bitset of {self.gen_max + 1} bits exceeds "
+                f"the budget of {MAX_MASK_BITS} bits")
         if self.mu_cap is not None and self.mu_cap < 2:
             raise InvalidInputError("mu_cap must be at least 2")
         if self.worker_count < 1:
@@ -147,7 +153,7 @@ def enumerate_ideals(S: NumericalSemigroup,
     candidate with an offset in that band, over five spaces at the default
     cap and at cap 4, and finds none."""
     top = S.frobenius - S.multiplicity
-    if S.frobenius < 0 or top < 1:
+    if top < 1:
         return
     cap = config.cap_for(len(S.min_gens))
     window = (1 << (top + 1)) - 1
@@ -272,12 +278,12 @@ def _scan_semigroup(S: NumericalSemigroup,
     out: list[BrickReport] = []
     frob = S.frobenius
     top = frob - S.multiplicity
-    if frob < 0 or top < 1:
+    if top < 1:
         return out
     cap = config.cap_for(len(S.min_gens))
     # offsets reach top, so the window covers the reads at D + d for two
     # dual generators D <= frobenius + m apart, and at x + w
-    smask = S.element_mask(dual_window(S, top))
+    smask = S.element_mask(frob + S.multiplicity + top)
     window = (1 << (top + 1)) - 1
     gapmask = ~smask & window
     gaps = _bits(gapmask)
@@ -444,18 +450,23 @@ def _decode(label: str, raw, kind: type, cell: bool):
     raise ValueError(f"{label}: expected {_KINDS[kind]}, got {raw!r}")
 
 
+def _require_format(fmt: str) -> None:
+    if fmt not in REPORT_FORMATS:
+        raise InvalidInputError(f"unknown report format {fmt!r}")
+
+
 def render_report(report: BrickReport, fmt: str = "line") -> str:
+    _require_format(fmt)
     if fmt == "line":
         return json.dumps({key: getattr(report, name)
                            for name, key, _, _ in _SCHEMA})
-    if fmt == "table":
-        return ";".join(
-            json.dumps(getattr(report, name), separators=(",", ":")).strip("[]")
-            for name, *_ in _SCHEMA)
-    raise InvalidInputError(f"unknown report format {fmt!r}")
+    return ";".join(
+        json.dumps(getattr(report, name), separators=(",", ":")).strip("[]")
+        for name, *_ in _SCHEMA)
 
 
 def render_reports(reports: Iterable[BrickReport], fmt: str = "line") -> str:
+    _require_format(fmt)
     lines = [render_report(r, fmt) for r in reports]
     if fmt == "table":
         lines.insert(0, TABLE_HEADER)
@@ -480,8 +491,7 @@ def read_reports(source: str | Path | IO[str],
     blank lines.  A malformed record (not a JSON object, a missing key, a
     wrong cell count, a value of the wrong kind) raises InvalidInputError
     naming its 1-based line."""
-    if fmt not in ("line", "table"):
-        raise InvalidInputError(f"unknown report format {fmt!r}")
+    _require_format(fmt)
     if hasattr(source, "read"):
         text = source.read()
     else:

@@ -11,6 +11,7 @@ failure; errors go to stderr as one machine-readable line.
 from __future__ import annotations
 
 import sys
+from contextlib import nullcontext
 
 from .balanced import (
     canonical_brick,
@@ -19,7 +20,8 @@ from .balanced import (
     frobenius_of_triple,
     unitary_family,
 )
-from .brickhunt import SearchConfig, lift, search, summarize, write_reports
+from .brickhunt import (REPORT_FORMATS, SearchConfig, lift, search,
+                        summarize, write_reports)
 from .errors import DomainError
 from .ideal import RelativeIdeal, brick_check
 from .sgcore import NumericalSemigroup
@@ -240,13 +242,18 @@ def _cmd_search(args: list[str]) -> None:
                "--out": "out"},
         switches=("--perfect-only",), text=("--format", "--out"))
     fmt = options.pop("fmt", "line")
-    if fmt not in ("line", "table"):
-        raise UsageError("--format needs `line` or `table`")
-    out = options.pop("out", sys.stdout)
+    if fmt not in REPORT_FORMATS:
+        raise UsageError("--format needs "
+                         + " or ".join(f"`{f}`" for f in REPORT_FORMATS))
+    out = options.pop("out", None)
     if "gen_max" not in options:
         raise UsageError("search requires --gen-max")
-    reports = search(SearchConfig(**options))
-    write_reports(reports, out, fmt)
+    config = SearchConfig(**options)
+    # --out is opened, and truncated, before the search, so an unwritable
+    # path fails at once rather than after the whole search
+    with open(out, "w") if out is not None else nullcontext(sys.stdout) as dest:
+        reports = search(config)
+        write_reports(reports, dest, fmt)
     print(summarize(reports), file=sys.stderr)
 
 

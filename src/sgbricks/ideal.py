@@ -7,8 +7,7 @@ The pair (S, I) multiplies like a brick when the minimal generating sets
 obey mu(I) * mu(S - I) = mu(I + (S - I)).
 
 The dual and sum computations run on integer bitsets whose window is
-frobenius + multiplicity past the ideal's span (dual_window, which the
-search shares; the hot paths here spell it out).  Shift I so that
+frobenius + multiplicity past the ideal's span.  Shift I so that
 min(I) = 0.  Then S - I lies in S and holds every integer above the
 Frobenius number F.  For any two ideals I and J shifted to min(I) =
 min(J) = 0, the sum I + J holds 0, so it contains S and also holds every
@@ -164,15 +163,6 @@ def brick_check(S: NumericalSemigroup, I: RelativeIdeal) -> BrickCheck:
     is_perfect = is_brick and total.min_gens == S.min_gens
     dual = RelativeIdeal._trusted(S, [w - off for w in dual_gens])
     return BrickCheck(k, mu_dual, mu_sum, is_brick, is_perfect, dual, total)
-
-
-def dual_window(S: NumericalSemigroup, span: int) -> int:
-    """Highest bit an element bitset of S needs for the dual of an ideal
-    whose offsets, shifted to start at 0, reach up to span: every minimal
-    generator of the dual and of the ideal's sum with it is at most
-    frobenius + multiplicity, and the dual's bits there read the bitset
-    up to span further."""
-    return S.frobenius + S.multiplicity + span
 
 
 def _shifted_dual(I: RelativeIdeal) -> tuple[int, int]:

@@ -88,16 +88,6 @@ class NumericalSemigroup:
                 f"generators have gcd {g}; the complement would be infinite")
 
         m = gens[0]
-        if m == 1:
-            self.min_gens = (1,)
-            self.multiplicity = 1
-            self.apery_table = (0,)
-            self.frobenius = -1
-            self.n_count = 0
-            self._mask = 1
-            self._mask_limit = 0
-            return
-
         # Every table entry is below multiplicity * max(gens); checking the
         # product up front keeps all derived values inside 64 bits.
         if m * gens[-1] > INT64_MAX:
@@ -155,9 +145,12 @@ class NumericalSemigroup:
         Only the bits through the Frobenius number need saturating under the
         generators; every bit above it is a member and is set in one OR.
 
-        Raises ResourceLimitError, before allocating, when the bitset would
-        have more than MAX_MASK_BITS bits.
+        Raises InvalidInputError when limit is not exactly an int, and
+        ResourceLimitError, before allocating, when the bitset would have
+        more than MAX_MASK_BITS bits.
         """
+        if type(limit) is not int:
+            require_ints((limit,), "limit")  # raises InvalidInputError
         if limit < 0:
             return 0
         if limit >= MAX_MASK_BITS:

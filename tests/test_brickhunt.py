@@ -29,7 +29,7 @@ from sgbricks.errors import (
     ZeroNotGeneratorError,
 )
 from sgbricks.ideal import RelativeIdeal, brick_check
-from sgbricks.sgcore import NumericalSemigroup
+from sgbricks.sgcore import MAX_MASK_BITS, NumericalSemigroup
 
 
 # ------------------------------------------------------------ configuration
@@ -66,6 +66,15 @@ def test_worker_budget(monkeypatch):
         SearchConfig(worker_count=MAX_WORKERS + 1)
     with pytest.raises(ResourceLimitError):
         search(SearchConfig(gen_max=10, worker_count=10**6))
+
+
+def test_gen_max_budget():
+    # the semigroup walk's reachability bitset has gen_max + 1 bits; the
+    # config is only built here, never searched
+    assert SearchConfig(gen_max=MAX_MASK_BITS - 1).gen_max == MAX_MASK_BITS - 1
+    with pytest.raises(ResourceLimitError,
+                       match=f"reachability bitset of {MAX_MASK_BITS + 1} bits"):
+        SearchConfig(gen_max=MAX_MASK_BITS)
 
 
 def test_mu_cap_rule():
@@ -399,11 +408,18 @@ def test_table_header_and_fields():
     assert text[1] == "24,25,35,36;0,1;24,35;2;2;true;24;187"
 
 
-def test_unknown_format_rejected():
+def test_unknown_format_rejected(tmp_path: Path):
     with pytest.raises(InvalidInputError):
         render_reports(SAMPLE, "csv")
     with pytest.raises(InvalidInputError):
         read_reports(io.StringIO(""), "csv")
+    # refused with no report to render as well, and nothing is written
+    with pytest.raises(InvalidInputError, match="unknown report format 'csv'"):
+        render_reports([], "csv")
+    target = tmp_path / "empty.txt"
+    with pytest.raises(InvalidInputError, match="unknown report format 'csv'"):
+        write_reports([], target, "csv")
+    assert not target.exists()
 
 
 def test_summarize():

@@ -2,8 +2,9 @@ from pathlib import Path
 
 import pytest
 
-from sgbricks import brickhunt
+from sgbricks import brickhunt, cli
 from sgbricks.cli import run
+from sgbricks.errors import ResourceLimitError
 
 
 def invoke(capsys, *args):
@@ -277,16 +278,59 @@ def test_io_error_exit(capsys):
     assert err.startswith("error: io:")
 
 
+def test_unwritable_out_fails_before_search(capsys, monkeypatch, tmp_path):
+    def no_search(config):
+        raise AssertionError("search was called")
+
+    monkeypatch.setattr(cli, "search", no_search)
+    target = tmp_path / "missing-dir" / "x.jsonl"
+    code, out, err = invoke(capsys, "search", "--gen-max", "10",
+                            "--out", str(target))
+    assert code == 4 and out == ""
+    assert err.startswith("error: io:")
+
+
+def test_out_truncated_when_search_starts(capsys, monkeypatch, tmp_path):
+    # as with a shell redirect, an existing file is emptied before the
+    # search runs, and stays empty when the search fails
+    def failing_search(config):
+        raise ResourceLimitError("search failed")
+
+    monkeypatch.setattr(cli, "search", failing_search)
+    target = tmp_path / "hits.jsonl"
+    target.write_text("stale\n")
+    code, _, err = invoke(capsys, "search", "--gen-max", "10",
+                          "--out", str(target))
+    assert code == 3
+    assert err == "error: resource-limit: search failed\n"
+    assert target.read_text() == ""
+
+
+def test_gen_max_budget_exit(capsys, monkeypatch):
+    # refused before the semigroup walk allocates its bitset
+    def no_search(config):
+        raise AssertionError("search was called")
+
+    monkeypatch.setattr(cli, "search", no_search)
+    code, out, err = invoke(capsys, "search", "--gen-max", str(2**26))
+    assert code == 3 and out == ""
+    assert err.startswith("error: resource-limit: a reachability bitset of ")
+
+
 def test_search_requires_gen_max(capsys):
     code, _, err = invoke(capsys, "search", "--t-min", "4")
     assert code == 2
     assert "--gen-max" in err
 
 
-def test_search_bad_config_is_domain_error(capsys):
-    code, _, err = invoke(capsys, "search", "--gen-max", "10", "--t-min", "1")
+def test_search_bad_config_is_domain_error(capsys, tmp_path):
+    # the config is checked before --out is opened, so the path is untouched
+    target = tmp_path / "hits.jsonl"
+    code, _, err = invoke(capsys, "search", "--gen-max", "10", "--t-min", "1",
+                          "--out", str(target))
     assert code == 3
     assert err.startswith("error: invalid-input:")
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("args, named", [

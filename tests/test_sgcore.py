@@ -60,11 +60,17 @@ def test_worked_example_membership():
     assert {x for x in range(26) if x in S} == members
 
 
-def test_whole_naturals():
-    S = NumericalSemigroup([1])
+@pytest.mark.parametrize("gens", [[1], [1, 5, 7], [2, 1], [1, 2**62]])
+def test_whole_naturals(gens):
+    # a generator 1 makes every other one redundant, through the general
+    # table path: one residue class, whose least member is 0
+    S = NumericalSemigroup(gens)
     assert S.min_gens == (1,)
+    assert S.multiplicity == 1
+    assert S.apery_table == (0,)
     assert S.frobenius == -1
     assert S.n_count == 0
+    assert S.element_mask(30) == (1 << 31) - 1
     assert not S.is_symmetric()
     assert S.apery_set() == (0,)
     assert 0 in S and 5 in S and -3 not in S
@@ -145,6 +151,13 @@ def test_non_integer():
     for gens in (["a", 3], [3, "a"], [True, 3], [2, 3, False]):
         with pytest.raises(InvalidInputError, match="is not an integer"):
             NumericalSemigroup(gens)
+    # element_mask shifts by its limit: a float would raise TypeError from
+    # <<, and a bool would be read as 0 or 1
+    S = NumericalSemigroup([3, 5])
+    for limit in (10.5, True):
+        with pytest.raises(InvalidInputError,
+                           match=f"limit {limit!r} is not an integer"):
+            S.element_mask(limit)
 
 
 def test_overflow_guard():
