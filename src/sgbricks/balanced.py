@@ -254,20 +254,24 @@ def boundary_sets(profile: BalancedProfile) -> BoundaryDecomposition:
     return BoundaryDecomposition(part1, part2, part3, predicted)
 
 
+def _triple_formula(profile: BalancedProfile) -> int:
+    # the triple's closed form, evaluated on any balanced profile
+    q1 = profile.q1
+    return ((q1 - 2) * profile.a1 + profile.q2 * profile.a3
+            + (q1 - 1) * profile.a4)
+
+
 def frobenius_of_triple(profile: BalancedProfile) -> int:
     """Closed form for the Frobenius number of the subsemigroup generated by
     the three smallest generators of a unitary quadruple."""
     if not profile.is_unitary:
         raise NotUnitaryError("the closed form is proved for unitary quadruples")
-    a1, a2, a3, a4 = profile.gens
-    q1, q2, q3 = profile.q1, profile.q2, profile.q3
-    value = (q1 - 2) * a1 + q2 * a3 + (q1 - 1) * a4
-    # q2 * a3 == q3 * a2 (both equal lcm(a2, a3)), so the two equivalent
-    # shapes of the formula agree
-    if value != (q1 - 2) * a1 + q3 * a2 + (q1 - 1) * a4:
+    # the formula's second shape reads q3 * a2 for q2 * a3: both equal
+    # lcm(a2, a3), so the two shapes agree
+    if profile.q2 * profile.a3 != profile.q3 * profile.a2:
         raise RuntimeError(
             f"closed-form Frobenius shapes disagree for {profile.gens}")
-    return value
+    return _triple_formula(profile)
 
 
 def frobenius_of_quad(profile: BalancedProfile) -> int:
@@ -306,7 +310,4 @@ def frobenius_formula_probe(profile: BalancedProfile) -> tuple[int, int]:
     Usable on any balanced profile; the two agree on unitary input, and
     whether they ever agree beyond that is left as data, not asserted.
     """
-    a1, a3, a4 = profile.a1, profile.a3, profile.a4
-    q1, q2 = profile.q1, profile.q2
-    formula = (q1 - 2) * a1 + q2 * a3 + (q1 - 1) * a4
-    return formula, profile.triple().frobenius
+    return _triple_formula(profile), profile.triple().frobenius

@@ -9,9 +9,11 @@ multiplicity, with at most 1 + t // 2 generators for a t-generated
 semigroup, emitted only when the tuple is already minimal.  One kernel
 (_bad_pairs) extracts a dual's minimal generators, decides the brick test and
 collects the pairs of generators that break it, which break it for every
-larger ideal whose dual still holds both ends; one walk of the candidate tree
-(_scan_semigroup) passes them down and skips what they rule out, at every
-depth.  The pruning is exact, checked against an independent unpruned scan
+larger ideal whose dual still holds both ends; at an ideal (0, g) it also
+collects the pairs that its children's new differences break.  One walk of
+the candidate tree from (0,) (_scan_semigroup) passes them down and skips
+what they rule out, at every depth, each node pruning only from its own
+dual.  The pruning is exact, checked against an independent unpruned scan
 over whole spaces.  Every hit is re-validated through ideal.brick_check; a
 disagreement raises RuntimeError, an explicit check that python -O keeps.
 
@@ -258,22 +260,24 @@ def _scan_semigroup(S: NumericalSemigroup,
                     config: SearchConfig) -> list[BrickReport]:
     """Scan all candidate ideals of one semigroup.
 
-    Candidates form a tree: a child appends to (0, *offsets) an offset x
-    whose difference with each generator is a gap.  A node's brick test
-    (_bad_pairs) reads its bad-difference mask, whose bit D is set iff D + d
-    or |D - d| is a member for a difference d of its generators: the OR of
-    the per-gap masks bad[d].  Every hit is re-validated through
-    ideal.brick_check before being reported.
+    Candidates form a tree rooted at (0,): a child appends to (0, *offsets)
+    an offset x whose difference with each generator is a gap, so the
+    root's children are the (0, g) for the gaps g <= frobenius - m.  A
+    node's brick test (_bad_pairs) reads its bad-difference mask, whose bit
+    D is set iff D + d or |D - d| is a member for a difference d of its
+    generators: the OR of the per-gap masks bad[d], built once per
+    semigroup.  Every hit is re-validated through ideal.brick_check before
+    being reported.
 
-    Every root (0, g) is extracted first, since a node (0, ..., x) also
-    reads the pairs of (0, x).  Then one walk visits each root's subtree in
-    pre-order and passes down the live pairs, so the lemma in _bad_pairs
-    rules at every depth.  A child (0, ..., x) is skipped, untested, when a
-    live pair's mask has bit x or a pair of (0, x) has every nonzero offset
-    of the parent in its mask; it still roots a subtree, whose live pairs
+    One walk visits the tree in pre-order and passes down the live pairs,
+    so the lemma in _bad_pairs rules at every depth; every node prunes only
+    from its own dual.  A child (0, ..., x) is skipped, untested, when a
+    live pair's mask has bit x; it still roots a subtree, whose live pairs
     are the ones that skipped it.  A tested node's live pairs are the bad
-    pairs of its dual, wanted at its children's offsets.  Leaves need only
-    the OR of the masks, so only nodes with grandchildren keep the masks.
+    pairs of its dual, wanted at its children's offsets, and at a node
+    (0, g) also the pairs that its children's new differences make bad.
+    Leaves need only the OR of the masks, so only nodes with grandchildren
+    keep the masks.
     """
     out: list[BrickReport] = []
     frob = S.frobenius
@@ -286,10 +290,13 @@ def _scan_semigroup(S: NumericalSemigroup,
     smask = S.element_mask(frob + S.multiplicity + top)
     window = (1 << (top + 1)) - 1
     gapmask = ~smask & window
-    gaps = _bits(gapmask)
+    # character d of members is 1 iff d is a member, for d <= top
+    members = f"{smask & window:0{top + 1}b}"[::-1]
     # bit top + p of folded is set iff |p| is a member, for p >= -top
-    folded = (smask << top) | int(f"{smask & window:0{top + 1}b}"[::-1], 2)
+    folded = (smask << top) | int(members, 2)
     reach = (1 << (frob + S.multiplicity + 1)) - 1
+    bad = [0 if c == "1" else ((folded >> (top - d)) | (folded >> (top + d)))
+           & reach for d, c in enumerate(members)]
 
     def report(gens: tuple[int, ...]) -> None:
         ideal = RelativeIdeal._trusted(S, gens)
@@ -301,70 +308,52 @@ def _scan_semigroup(S: NumericalSemigroup,
         if check.is_perfect or not config.perfect_only:
             out.append(BrickReport.from_check(S, ideal, check))
 
-    def walk(gens, diffs, omask, cand, emask, kill, pairs):
+    def walk(gens, diffs, cand, emask, kill, pairs):
         # the children gens + (x,), x in cand, of a node with dual emask and
-        # bad-difference mask diffs; omask holds its nonzero offsets, kill
-        # and pairs the OR and the list (or None) of its live pairs' masks
+        # bad-difference mask diffs; kill and pairs are the OR and the list
+        # (or None) of its live pairs' masks
         if len(gens) + 1 == cap:
-            # the children are leaves (the scan's inner loop); for a single
-            # offset u the OR rkill[x] decides the cover at bit u
+            # the children are leaves: the scan's inner loop
             rest = cand & ~kill
             while rest:
                 low = rest & -rest
                 rest ^= low
                 x = low.bit_length() - 1
-                if rkill[x] & omask == omask and (len(gens) == 2 or any(
-                        p & omask == omask for p in rpairs[x])):
-                    continue
                 child = diffs
                 for a in gens:
                     child |= bad[x - a]
-                if _bad_pairs(emask & (smask >> x), smask, child, 0, None)[0]:
+                if _bad_pairs(emask & (smask >> x), smask, child, 0, None,
+                              bad, 0)[0]:
                     report(gens + (x,))
             return
         for x in _bits(cand):
             child = diffs
             for a in gens:
                 child |= bad[x - a]
-            live = ([p for p in pairs if p >> x & 1]
-                    + [p for p in rpairs[x] if p & omask == omask])
             sub = emask & (smask >> x)
             below = cand & (gapmask << x)
+            live = [p for p in pairs if p >> x & 1]
             child_kill = 0
             for p in live:
                 child_kill |= p
             if not live:
                 live = [] if len(gens) + 3 <= cap else None
-                is_brick, child_kill = _bad_pairs(sub, smask, child, below,
-                                                  live)
+                is_brick, child_kill = _bad_pairs(
+                    sub, smask, child, below, live, bad,
+                    x if len(gens) == 1 else 0)
                 if is_brick:
                     report(gens + (x,))
-            walk(gens + (x,), child, omask | 1 << x, below, sub, child_kill,
-                 live)
+            if below:
+                walk(gens + (x,), child, below, sub, child_kill, live)
 
-    # every root first: a node (0, ..., x) also reads the pairs of (0, x)
-    bad = [0] * (top + 1)
-    rbrick = [False] * (top + 1)
-    rkill = [0] * (top + 1)
-    rpairs = [[] for _ in bad] if cap >= 4 else [None] * (top + 1)
-    for g in gaps:
-        diffs = ((folded >> (top - g)) | (folded >> (top + g))) & reach
-        if cap >= 3:  # kept only for the walk: gaps * (F + m) bits
-            bad[g] = diffs
-        rbrick[g], rkill[g] = _bad_pairs(smask & (smask >> g), smask, diffs,
-                                         gapmask if cap >= 3 else 0, rpairs[g])
-    for g in gaps:
-        if rbrick[g]:
-            report((0, g))
-        if cap >= 3 and gapmask & (gapmask << g):
-            walk((0, g), bad[g], 1 << g, gapmask & (gapmask << g),
-                 smask & (smask >> g), rkill[g], rpairs[g])
+    walk((0,), 0, gapmask, smask, 0, [])
+    del walk  # frees the table now: the recursive closure is a cycle
     return out
 
 
-def _bad_pairs(emask, smask, diffs, wanted, pairs):
+def _bad_pairs(emask, smask, diffs, wanted, pairs, bad, g):
     """The brick test of an ideal I with dual emask and bad-difference mask
-    diffs, and the bad pairs of its dual.
+    diffs, and the pairs of its dual that rule out its children.
 
     Returns (is_brick, kill).  The minimal generators of S - I are extracted
     in ascending order; a pair a < b of them is *bad* when bit b - a of
@@ -400,25 +389,46 @@ def _bad_pairs(emask, smask, diffs, wanted, pairs):
     coincide when e = 0).  Either way mu(I' + (S - I')) < mu(I') *
     mu(S - I'), so (S, I') is no brick.  And a and b lie in S - I' iff
     every offset I' adds to I is a bit of their survival mask, at any depth.
+
+    New differences.  At I = (0, g), called with g >= 1 and the per-gap
+    table bad, a pair a < b that is not bad for g may still be bad for a
+    child (0, g, x), whose new differences are x and x - g.  The table is
+    symmetric: for gaps D and x up to frobenius - m, bit x of bad[D] is
+    bit D of bad[x], since both say that D + x or |D - x| is a member.  So
+    when D = b - a is at most frobenius - m (it is a gap, as the difference
+    of two dual generators), bit D of bad[x] | bad[x - g] is bit x of
+    bad[D] | bad[D] << g.  That mask times the pair's survival mask holds
+    exactly the children in whose dual, by the lemma, (a, b) is a bad pair
+    of minimal generators; it joins kill and pairs as a bad pair's mask
+    does.  A deeper descendant inherits it only through offsets that are
+    bits of it, so there a and b survive and one of its differences still
+    makes them bad.  With g = 0 no such mask is formed: a deeper node's
+    children add a new difference x - a for each of its generators a.
     """
     gens: list[int] = []
-    bad = False
+    is_bad = False
     kill = 0
     rest = emask
     while rest:
         w = (rest & -rest).bit_length() - 1
         for wi in gens:
-            if diffs >> (w - wi) & 1:
+            d = w - wi
+            if diffs >> d & 1:
                 if not wanted & ~kill:
                     return False, kill
-                bad = True
+                is_bad = True
                 mask = wanted & (smask >> w) & (smask >> wi)
-                kill |= mask
-                if pairs is not None:
-                    pairs.append(mask)
+            elif g and d < len(bad):
+                mask = (wanted & (smask >> w) & (smask >> wi)
+                        & (bad[d] | bad[d] << g))
+            else:
+                continue
+            kill |= mask
+            if pairs is not None:
+                pairs.append(mask)
         gens.append(w)
         rest &= ~(smask << w)
-    return not bad and len(gens) >= 2, kill
+    return not is_bad and len(gens) >= 2, kill
 
 
 # ------------------------------------------------------------------ reports
@@ -455,8 +465,8 @@ def _require_format(fmt: str) -> None:
         raise InvalidInputError(f"unknown report format {fmt!r}")
 
 
-def render_report(report: BrickReport, fmt: str = "line") -> str:
-    _require_format(fmt)
+def _render(report: BrickReport, fmt: str) -> str:
+    # one record in a format already checked by the caller
     if fmt == "line":
         return json.dumps({key: getattr(report, name)
                            for name, key, _, _ in _SCHEMA})
@@ -465,9 +475,14 @@ def render_report(report: BrickReport, fmt: str = "line") -> str:
         for name, *_ in _SCHEMA)
 
 
+def render_report(report: BrickReport, fmt: str = "line") -> str:
+    _require_format(fmt)
+    return _render(report, fmt)
+
+
 def render_reports(reports: Iterable[BrickReport], fmt: str = "line") -> str:
     _require_format(fmt)
-    lines = [render_report(r, fmt) for r in reports]
+    lines = [_render(r, fmt) for r in reports]
     if fmt == "table":
         lines.insert(0, TABLE_HEADER)
     return "".join(line + "\n" for line in lines)

@@ -422,6 +422,27 @@ def test_unknown_format_rejected(tmp_path: Path):
     assert not target.exists()
 
 
+def test_render_reports_checks_the_format_once(monkeypatch):
+    checks = []
+    require = brickhunt._require_format
+
+    def counting(fmt):
+        checks.append(fmt)
+        require(fmt)
+
+    monkeypatch.setattr(brickhunt, "_require_format", counting)
+    for fmt in brickhunt.REPORT_FORMATS:
+        checks.clear()
+        lines = render_reports(SAMPLE, fmt).splitlines()
+        assert checks == [fmt]
+        if fmt == "table":
+            assert lines.pop(0) == TABLE_HEADER
+        # each record renders as render_report renders it alone
+        assert lines == [brickhunt.render_report(r, fmt) for r in SAMPLE]
+    with pytest.raises(InvalidInputError, match="unknown report format 'csv'"):
+        brickhunt.render_report(SAMPLE[0], "csv")
+
+
 def test_summarize():
     text = summarize(SAMPLE)
     assert "bricks: 3 pairs, 3 distinct semigroups, 3 perfect" in text

@@ -23,7 +23,7 @@ from sgbricks.brickhunt import (
     _bad_pairs,
     _scan_semigroup,
 )
-from sgbricks.ideal import RelativeIdeal, brick_check
+from sgbricks.ideal import RelativeIdeal, _bits, brick_check
 from sgbricks.sgcore import NumericalSemigroup
 
 from oracles import brute_dual_elements, brute_minimal_generators
@@ -89,10 +89,13 @@ def test_pruning_skips_most_kernel_calls(monkeypatch):
     calls = counting_kernel(monkeypatch)
     reports = search(cfg)
     assert len(reports) == 31
-    # every (0, g) is extracted once; the rest test three generators
-    assert len(calls) == 207_703
+    # every (0, g) is extracted once; the rest test three generators.  With
+    # the roots read across (each (0, ..., x) also read the pairs of (0, x))
+    # the scan made 207,703 calls
+    assert len(calls) == 201_175
+    assert len(calls) <= 207_703
     calls_above_two = len(calls) - sizes.count(2)
-    assert calls_above_two == 143_937
+    assert calls_above_two == 137_409
     assert calls_above_two <= 0.35 * candidates
 
 
@@ -119,15 +122,17 @@ def brute_bad_differences(S, deltas):
     SearchConfig(t_min=4, t_max=4, gen_max=16, mu_cap=5),
 ], ids=["t4-20", "t5-19", "t4-17-cap4", "t3-16-cap4", "t4-16-cap5"])
 def test_every_skipped_candidate_has_a_bad_pair(monkeypatch, config):
-    # a skipped candidate I' needs a bad pair of S - J, for some J within I'
-    # that holds 0, with both ends still in S - I'; found here through
-    # brick_check's duals and the differences of J
+    # a skipped candidate I' needs a minimal generator pair of S - J, for
+    # some J within I' that holds 0, with both ends still in S - I' and bad
+    # for a difference of I'; found here through brick_check's duals.  Such
+    # a pair is a bad pair of minimal generators of S - I' (the lemma in
+    # _bad_pairs), so (S, I') is no brick
     kernel = brickhunt._bad_pairs
     tested = set()
 
-    def recording(emask, smask, diffs, wanted, pairs):
+    def recording(emask, smask, diffs, wanted, pairs, bad, g):
         tested.add((emask, diffs))
-        return kernel(emask, smask, diffs, wanted, pairs)
+        return kernel(emask, smask, diffs, wanted, pairs, bad, g)
 
     monkeypatch.setattr(brickhunt, "_bad_pairs", recording)
     skipped = 0
@@ -141,6 +146,7 @@ def test_every_skipped_candidate_has_a_bad_pair(monkeypatch, config):
         duals = {}
 
         def certified(gens):
+            differences = {q - p for p, q in itertools.combinations(gens, 2)}
             for size in range(1, len(gens) - 1):
                 for sub in itertools.combinations(gens[1:], size):
                     J = (0, *sub)
@@ -149,7 +155,7 @@ def test_every_skipped_candidate_has_a_bad_pair(monkeypatch, config):
                     ends = [w for w in duals[J] if all((w + z) in S for z in gens)]
                     if any((b - a + d) in S or abs(b - a - d) in S
                            for i, a in enumerate(ends) for b in ends[i + 1:]
-                           for d in (q - p for p, q in itertools.combinations(J, 2))):
+                           for d in differences):
                         return True
             return False
 
@@ -173,9 +179,9 @@ def test_every_skipped_candidate_has_a_bad_pair(monkeypatch, config):
 
 @pytest.mark.parametrize("t,fake", [
     # every ideal, then only the leaves, then only the (0, g) extractions
-    (3, lambda emask, smask, diffs, wanted, pairs: (True, 0)),
-    (4, lambda emask, smask, diffs, wanted, pairs: (not wanted, 0)),
-    (4, lambda emask, smask, diffs, wanted, pairs: (bool(wanted), 0)),
+    (3, lambda emask, smask, diffs, wanted, pairs, bad, g: (True, 0)),
+    (4, lambda emask, smask, diffs, wanted, pairs, bad, g: (not wanted, 0)),
+    (4, lambda emask, smask, diffs, wanted, pairs, bad, g: (bool(g), 0)),
 ], ids=["t3-all", "t4-leaves", "t4-roots"])
 def test_false_kernel_hit_raises(monkeypatch, t, fake):
     monkeypatch.setattr(brickhunt, "_bad_pairs", fake)
@@ -231,38 +237,62 @@ def test_lemma_and_bad_pairs(gens, data):
 
     # the kill mask of (0, g) marks only non-bricks, the flag decides (0, g)
     # exactly, stopping once every wanted bit is set loses no bit, and the
-    # collected masks are the pairs that make up the kill mask
+    # collected masks are the pairs that make up the kill mask; with the
+    # per-gap table and g, the kill mask also marks exactly the children
+    # (0, g, x) in whose dual a pair that is not bad for g survives, with a
+    # difference up to top that the new differences x or x - g make bad
     smask = S.element_mask(2 * frob + 2 + top)
     window = (1 << (top + 1)) - 1
     gapmask = ~smask & window
+    table = [0 if d in S else brute_bad_differences(S, (d,))
+             for d in range(top + 1)]
+
+    def is_bad(D, d):
+        return (D + d) in S or abs(D - d) in S
+
     for g in gaps:
         expected = brick_check(S, RelativeIdeal(S, (0, g))).is_brick
         diffs = brute_bad_differences(S, (g,))
+        dual = brute_minimal_generators(
+            S.min_gens, brute_dual_elements(S.min_gens, (0, g), lo, hi))
+        children = gapmask & (gapmask << g)
+        new_bad = sum(1 << x for x in range(top + 1) if children >> x & 1 and any(
+            b - a <= top and not is_bad(b - a, g)
+            and (is_bad(b - a, x) or is_bad(b - a, x - g))
+            for i, a in enumerate(dual) for b in dual[i + 1:]
+            if (a + x) in S and (b + x) in S))
         masks = {}
-        for wanted in (window, gapmask, 0):
-            found = []
-            is_brick, masks[wanted] = _bad_pairs(
-                smask & (smask >> g), smask, diffs, wanted, found)
-            assert is_brick == expected
-            assert masks[wanted] & ~wanted == 0
-            assert (is_brick, masks[wanted]) == _bad_pairs(
-                smask & (smask >> g), smask, diffs, wanted, None)
-            union = 0
-            for p in found:
-                union |= p
-            assert union == masks[wanted]
-        kill = masks[window]
-        assert masks[gapmask] == kill & gapmask
+        for wanted in (window, gapmask, children, 0):
+            for step in (0, g):
+                found = []
+                is_brick, kill = _bad_pairs(
+                    smask & (smask >> g), smask, diffs, wanted, found, table,
+                    step)
+                assert is_brick == expected
+                assert kill & ~wanted == 0
+                assert (is_brick, kill) == _bad_pairs(
+                    smask & (smask >> g), smask, diffs, wanted, None, table,
+                    step)
+                union = 0
+                for p in found:
+                    union |= p
+                assert union == kill
+                masks[wanted, step] = kill
+        kill = masks[window, 0]
+        assert masks[gapmask, 0] == kill & gapmask
+        assert masks[children, g] == masks[children, 0] | new_bad
         for x in gaps:
             if x != g and (abs(x - g) not in S) and (kill >> x) & 1:
                 ideal = RelativeIdeal(S, sorted((0, g, x)))
                 assert not brick_check(S, ideal).is_brick
+        for x in _bits(masks[children, g] & ~masks[children, 0]):
+            assert not brick_check(S, RelativeIdeal(S, (0, g, x))).is_brick
 
     # one level down: a pair of S - (0, u, v) whose mask has bit x rules out
     # (0, u, v, x)
     emask = smask & (smask >> u) & (smask >> v)
     diffs = brute_bad_differences(S, (u, v, v - u))
-    is_brick, kill = _bad_pairs(emask, smask, diffs, window, None)
+    is_brick, kill = _bad_pairs(emask, smask, diffs, window, None, table, 0)
     assert is_brick == brick_check(S, RelativeIdeal(S, (0, u, v))).is_brick
     for x in gaps:
         if (kill >> x) & 1 and x not in (u, v) and all(
