@@ -251,10 +251,10 @@ def test_lemma_and_bad_pairs(gens, data):
         return (D + d) in S or abs(D - d) in S
 
     for g in gaps:
-        expected = brick_check(S, RelativeIdeal(S, (0, g))).is_brick
+        check = brick_check(S, RelativeIdeal(S, (0, g)))
+        expected = check.is_brick
+        dual = check.dual_ideal.min_gens
         diffs = brute_bad_differences(S, (g,))
-        dual = brute_minimal_generators(
-            S.min_gens, brute_dual_elements(S.min_gens, (0, g), lo, hi))
         children = gapmask & (gapmask << g)
         new_bad = sum(1 << x for x in range(top + 1) if children >> x & 1 and any(
             b - a <= top and not is_bad(b - a, g)
