@@ -7,15 +7,17 @@ with gcd 1 are the semigroups, in lexicographic order.  For each semigroup the
 candidate ideals contain 0 plus nonzero offsets up to frobenius minus
 multiplicity, with at most 1 + t // 2 generators for a t-generated
 semigroup, emitted only when the tuple is already minimal.  One kernel
-(_bad_pairs) extracts a dual's minimal generators, decides the brick test and
-collects the pairs of generators that break it, which break it for every
-larger ideal whose dual still holds both ends; at an ideal (0, g) it also
-collects the pairs that its children's new differences break.  One walk of
-the candidate tree from (0,) (_scan_semigroup) passes them down and skips
-what they rule out, at every depth, each node pruning only from its own
-dual.  The pruning is exact, checked against an independent unpruned scan
-over whole spaces.  Every hit is re-validated through ideal.brick_check; a
-disagreement raises RuntimeError, an explicit check that python -O keeps.
+(_bad_generators) reads the minimal generators W of a dual D off its bitset
+and decides the brick test with a few shifts: (S, I) is a brick iff no w in
+W has w + delta in D for a difference delta of two generators of I.  Each
+such w and w + delta also break it for every larger ideal whose dual still
+holds both, and the kernel collects the masks of the offsets that keep
+them.  One walk of the candidate tree from (0,) (_scan_semigroup) passes
+the masks down and skips what they rule out, at every depth, each node
+pruning only from its own dual.  The pruning is exact, checked against an
+independent unpruned scan over whole spaces.  Every hit is re-validated
+through ideal.brick_check; a disagreement raises RuntimeError, an explicit
+check that python -O keeps.
 
 The search cuts the semigroup walk into chunks of 512 generator tuples and
 fans them out to at most MAX_WORKERS worker processes, which construct and
@@ -263,40 +265,29 @@ def _scan_semigroup(S: NumericalSemigroup,
     Candidates form a tree rooted at (0,): a child appends to (0, *offsets)
     an offset x whose difference with each generator is a gap, so the
     root's children are the (0, g) for the gaps g <= frobenius - m.  A
-    node's brick test (_bad_pairs) reads its bad-difference mask, whose bit
-    D is set iff D + d or |D - d| is a member for a difference d of its
-    generators: the OR of the per-gap masks bad[d], built once per
-    semigroup.  Every hit is re-validated through ideal.brick_check before
-    being reported.
+    node's brick test (_bad_generators) reads its dual's bitset and the
+    positive differences of its generators.  Every hit is re-validated
+    through ideal.brick_check before being reported.
 
-    One walk visits the tree in pre-order and passes down the live pairs,
-    so the lemma in _bad_pairs rules at every depth; every node prunes only
-    from its own dual.  A child (0, ..., x) is skipped, untested, when a
-    live pair's mask has bit x; it still roots a subtree, whose live pairs
-    are the ones that skipped it.  A tested node's live pairs are the bad
-    pairs of its dual, wanted at its children's offsets, and at a node
-    (0, g) also the pairs that its children's new differences make bad.
-    Leaves need only the OR of the masks, so only nodes with grandchildren
-    keep the masks.
+    One walk visits the tree in pre-order and passes down the live kill
+    masks, so the lemma in _bad_generators rules at every depth; every node
+    prunes only from its own dual.  A child (0, ..., x) is skipped, untested,
+    when a live mask has bit x; it still roots a subtree, whose live masks
+    are the ones that skipped it.  A tested node's live masks are the ones
+    its dual yields, wanted at its children's offsets.  Leaves need only
+    the OR of the masks, so only nodes with grandchildren keep the masks.
     """
     out: list[BrickReport] = []
-    frob = S.frobenius
-    top = frob - S.multiplicity
+    frob, m = S.frobenius, S.multiplicity
+    top = frob - m
     if top < 1:
         return out
     cap = config.cap_for(len(S.min_gens))
-    # offsets reach top, so the window covers the reads at D + d for two
-    # dual generators D <= frobenius + m apart, and at x + w
-    smask = S.element_mask(frob + S.multiplicity + top)
-    window = (1 << (top + 1)) - 1
-    gapmask = ~smask & window
-    # character d of members is 1 iff d is a member, for d <= top
-    members = f"{smask & window:0{top + 1}b}"[::-1]
-    # bit top + p of folded is set iff |p| is a member, for p >= -top
-    folded = (smask << top) | int(members, 2)
-    reach = (1 << (frob + S.multiplicity + 1)) - 1
-    bad = [0 if c == "1" else ((folded >> (top - d)) | (folded >> (top + d)))
-           & reach for d, c in enumerate(members)]
+    # the window of _bad_generators: offsets and differences reach top
+    smask = S.element_mask(frob + m + 2 * top)
+    gapmask = ~smask & ((1 << (top + 1)) - 1)
+    strip = (2 << (frob + m)) - 1
+    atoms = S.min_gens
 
     def report(gens: tuple[int, ...]) -> None:
         ideal = RelativeIdeal._trusted(S, gens)
@@ -308,127 +299,113 @@ def _scan_semigroup(S: NumericalSemigroup,
         if check.is_perfect or not config.perfect_only:
             out.append(BrickReport.from_check(S, ideal, check))
 
-    def walk(gens, diffs, cand, emask, kill, pairs):
-        # the children gens + (x,), x in cand, of a node with dual emask and
-        # bad-difference mask diffs; kill and pairs are the OR and the list
-        # (or None) of its live pairs' masks
+    def walk(gens, diffs, cand, dual, masks):
+        # the children gens + (x,), x in cand, of a node with dual bitset
+        # dual and positive differences diffs; masks are its live kill masks
         if len(gens) + 1 == cap:
-            # the children are leaves: the scan's inner loop
-            rest = cand & ~kill
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                x = low.bit_length() - 1
-                child = diffs
-                for a in gens:
-                    child |= bad[x - a]
-                if _bad_pairs(emask & (smask >> x), smask, child, 0, None,
-                              bad, 0)[0]:
+            # the children are leaves, and cand holds only live ones
+            for x in _bits(cand):
+                if _bad_generators(dual & (smask >> x), smask, strip, atoms,
+                                   diffs + tuple(map(x.__sub__, gens)), 0,
+                                   None)[0]:
                     report(gens + (x,))
             return
+        last = len(gens) + 2 == cap  # the children's children are leaves
         for x in _bits(cand):
-            child = diffs
-            for a in gens:
-                child |= bad[x - a]
-            sub = emask & (smask >> x)
+            child = diffs + tuple(map(x.__sub__, gens))
+            sub = dual & (smask >> x)
             below = cand & (gapmask << x)
-            live = [p for p in pairs if p >> x & 1]
-            child_kill = 0
+            live = [p for p in masks if p >> x & 1]
+            kill = 0
             for p in live:
-                child_kill |= p
+                kill |= p
             if not live:
-                live = [] if len(gens) + 3 <= cap else None
-                is_brick, child_kill = _bad_pairs(
-                    sub, smask, child, below, live, bad,
-                    x if len(gens) == 1 else 0)
+                live = None if last else []
+                is_brick, kill = _bad_generators(
+                    sub, smask, strip, atoms, child, below, live)
                 if is_brick:
                     report(gens + (x,))
+            if last:
+                below &= ~kill
             if below:
-                walk(gens + (x,), child, below, sub, child_kill, live)
+                walk(gens + (x,), child, below, sub, live)
 
-    walk((0,), 0, gapmask, smask, 0, [])
-    del walk  # frees the table now: the recursive closure is a cycle
+    walk((0,), (), gapmask, smask, [])
+    del walk  # frees the semigroup now: the recursive closure is a cycle
     return out
 
 
-def _bad_pairs(emask, smask, diffs, wanted, pairs, bad, g):
-    """The brick test of an ideal I with dual emask and bad-difference mask
-    diffs, and the pairs of its dual that rule out its children.
+def _bad_generators(dual, smask, strip, atoms, diffs, wanted, masks):
+    """The brick test of a candidate ideal I from the bitset dual of
+    D = S - I and the positive differences diffs of its generators, and the
+    masks of the children it rules out.
 
-    Returns (is_brick, kill).  The minimal generators of S - I are extracted
-    in ascending order; a pair a < b of them is *bad* when bit b - a of
-    diffs is set.  The generator sums generate I + (S - I), and
-    mu(I + (S - I)) = mu(I) * mu(S - I) iff no two sums coincide or differ
-    by a member.  Two offsets of I differ by a gap, and so do two dual
-    generators, so (S, I) is a brick iff the dual has at least two
-    generators and no bad pair.
+    Returns (is_brick, kill).  Let I have generators z_1 < ... < z_k,
+    k >= 2, and let W be the minimal generators of D.  The k * mu(D) sums
+    z_i + w generate I + D, and (S, I) is a brick iff they are distinct and
+    all minimal.  Within one translate z_i + W they are: W is minimal.  So
+    the brick test fails iff some z_i + w lies in z_j + D for j != i, that
+    is, iff w + delta is in D for a minimal generator w and a signed
+    difference delta = z_i - z_j.  Hence (S, I) is a brick iff W misses
+    D - delta for every delta: in bits, mins & ((dual >> d) | (dual << d))
+    is 0 for every d in diffs.  mins is the bitset of W: w is in D and no
+    w - a is, for a in atoms (the minimal generators of S), and every w
+    lies in strip = [0, F + m], F the Frobenius number and m the
+    multiplicity, since w - m > F would be in D.
 
-    The dual of a candidate is never principal, so the two-generator
-    condition never rejects one, although brick_check's equation alone
-    would accept mu(S - I) = 1.  Let F >= 0 be the Frobenius number.  As 0
-    is in I, S - I lies within S; as every offset is non-negative, S - I
-    holds every integer above F.  Were S - I = e + S, e would be a member.
-    For e >= 1, e + S misses e + F > F.  For e = 0, S - I = S holds 0, so I
-    lies within S, but the nonzero offsets of I are gaps.
+    The window.  smask must be complete through F + m + 2 * top, where
+    top = F - m bounds every offset and every difference of I.  The test
+    reads D at w + d <= F + m + top, and bit p of dual is the AND of the
+    member bits p + z over the offsets z <= top, so it reads smask through
+    F + m + 2 * top; the kill masks below read it at v + d + x, with
+    v <= F + m and an offset x <= top, so within the same bound.  The kill
+    masks use that reach: cut at F + m + top, the bitset loses kill bits.
 
-    A bad pair (a, b) has the survival mask wanted & (smask >> a) &
-    (smask >> b), whose bit x is set iff a and b stay in the dual once I
-    gains the offset x; kill is the OR of these masks, each also appended to
-    pairs unless pairs is None.  The extraction stops at a bad pair once
-    kill holds every wanted bit: at once for wanted = 0.
+    The dual of a candidate is never principal, so a brick found here has
+    mu(D) >= 2.  As 0 is in I, D lies within S; as every offset is
+    non-negative, D holds every integer above F.  Were D = e + S, e would
+    be a member.  For e >= 1, e + S misses e + F > F.  For e = 0, D = S
+    holds 0, so I lies within S, but the nonzero offsets of I are gaps.
 
     Lemma: for ideals I within I', S - I' lies within S - I, and a minimal
     generator w of S - I that lies in S - I' is minimal there too: were
     w = w' + s with w' in S - I' and s a nonzero member, then w' would lie
-    in S - I as well, contradicting the minimality of w.  Now let (a, b) be
-    a bad pair of S - I for a difference d of I, with a and b both in S - I'
-    for an ideal I' whose generators include those of I.  By the lemma a
-    and b are minimal generators of S - I'.  If b - a + d is a member, the
-    generator sum b + d lies in the coset a + S; if e = |b - a - d| is a
-    member, one of the sums b and a + d lies in the other's coset (they
-    coincide when e = 0).  Either way mu(I' + (S - I')) < mu(I') *
-    mu(S - I'), so (S, I') is no brick.  And a and b lie in S - I' iff
-    every offset I' adds to I is a bit of their survival mask, at any depth.
-
-    New differences.  At I = (0, g), called with g >= 1 and the per-gap
-    table bad, a pair a < b that is not bad for g may still be bad for a
-    child (0, g, x), whose new differences are x and x - g.  The table is
-    symmetric: for gaps D and x up to frobenius - m, bit x of bad[D] is
-    bit D of bad[x], since both say that D + x or |D - x| is a member.  So
-    when D = b - a is at most frobenius - m (it is a gap, as the difference
-    of two dual generators), bit D of bad[x] | bad[x - g] is bit x of
-    bad[D] | bad[D] << g.  That mask times the pair's survival mask holds
-    exactly the children in whose dual, by the lemma, (a, b) is a bad pair
-    of minimal generators; it joins kill and pairs as a bad pair's mask
-    does.  A deeper descendant inherits it only through offsets that are
-    bits of it, so there a and b survive and one of its differences still
-    makes them bad.  With g = 0 no such mask is formed: a deeper node's
-    children add a new difference x - a for each of its generators a.
+    in S - I as well, contradicting the minimality of w.  Now let w be in
+    W with w + delta in D for a difference delta of I, and let I' be an
+    ideal whose generators include those of I with w and w + delta both
+    in S - I'.  By the lemma w is a minimal generator of S - I', and delta
+    is a difference of I', so (S, I') is no brick.  w and w + delta lie in
+    S - I' iff every offset x that I' adds to I keeps w + x and
+    w + delta + x members, at any depth: for delta = d that is bit x of
+    (smask & (smask >> d)) >> w, and for delta = -d it is bit x of
+    (smask & (smask >> d)) >> (w - d).  Both read the pair at its lower end
+    v, the bits of up | (down >> d) below.  Each such mask, times wanted,
+    is ORed into kill and appended to masks unless masks is None.  The test
+    stops at a failing difference once kill holds every wanted bit: at once
+    for wanted = 0.
     """
-    gens: list[int] = []
-    is_bad = False
+    low = dual & strip
+    lows = 0
+    for a in atoms:
+        lows |= low << a
+    mins = low & ~lows
+    is_brick = True
     kill = 0
-    rest = emask
-    while rest:
-        w = (rest & -rest).bit_length() - 1
-        for wi in gens:
-            d = w - wi
-            if diffs >> d & 1:
-                if not wanted & ~kill:
-                    return False, kill
-                is_bad = True
-                mask = wanted & (smask >> w) & (smask >> wi)
-            elif g and d < len(bad):
-                mask = (wanted & (smask >> w) & (smask >> wi)
-                        & (bad[d] | bad[d] << g))
-            else:
-                continue
+    for d in diffs:
+        up = mins & (dual >> d)
+        down = mins & (dual << d)
+        if not up | down:
+            continue
+        if not wanted & ~kill:
+            return False, kill
+        is_brick = False
+        both = smask & (smask >> d)
+        for v in _bits(up | down >> d):
+            mask = wanted & (both >> v)
             kill |= mask
-            if pairs is not None:
-                pairs.append(mask)
-        gens.append(w)
-        rest &= ~(smask << w)
-    return not is_bad and len(gens) >= 2, kill
+            if masks is not None:
+                masks.append(mask)
+    return is_brick, kill
 
 
 # ------------------------------------------------------------------ reports

@@ -164,8 +164,8 @@ def test_enumerate_ideals_bounds_and_minimality():
 
 
 def test_candidate_duals_are_never_principal():
-    # _bad_pairs reads a dual with fewer than two generators as no brick;
-    # its docstring proves that no candidate's dual is principal
+    # _bad_generators does not count the dual's generators; its docstring
+    # proves that no candidate's dual is principal
     cfg = SearchConfig(t_min=2, t_max=5, gen_max=20)
     tested = 0
     for S in enumerate_semigroups(cfg):

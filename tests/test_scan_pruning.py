@@ -1,5 +1,6 @@
-"""The bad-pair pruning of the brick scan: exactness against the unpruned
-reference scan at every ideal size, the lemma it rests on, and re-validation
+"""The brick kernel and its pruning: the criterion against brick_check and
+the oracles, exactness of the pruned scan against the unpruned reference
+scan at every ideal size, the lemma the pruning rests on, and re-validation
 of every hit."""
 
 import itertools
@@ -11,7 +12,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sgbricks import brickhunt
@@ -20,13 +21,17 @@ from sgbricks.brickhunt import (
     enumerate_ideals,
     enumerate_semigroups,
     search,
-    _bad_pairs,
+    _bad_generators,
     _scan_semigroup,
 )
 from sgbricks.ideal import RelativeIdeal, _bits, brick_check
 from sgbricks.sgcore import NumericalSemigroup
 
-from oracles import brute_dual_elements, brute_minimal_generators
+from oracles import (
+    brute_dual_elements,
+    brute_frobenius,
+    brute_minimal_generators,
+)
 from reference_scan import reference_scan_semigroup
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -70,13 +75,13 @@ def test_scan_matches_reference_on_four_generator_bricks(gens, ideal):
 
 def counting_kernel(monkeypatch):
     calls = []
-    kernel = brickhunt._bad_pairs
+    kernel = brickhunt._bad_generators
 
     def counting(*args):
         calls.append(None)
         return kernel(*args)
 
-    monkeypatch.setattr(brickhunt, "_bad_pairs", counting)
+    monkeypatch.setattr(brickhunt, "_bad_generators", counting)
     return calls
 
 
@@ -89,13 +94,13 @@ def test_pruning_skips_most_kernel_calls(monkeypatch):
     calls = counting_kernel(monkeypatch)
     reports = search(cfg)
     assert len(reports) == 31
-    # every (0, g) is extracted once; the rest test three generators.  With
-    # the roots read across (each (0, ..., x) also read the pairs of (0, x))
-    # the scan made 207,703 calls
-    assert len(calls) == 201_175
-    assert len(calls) <= 207_703
+    # every (0, g) is tested once; the rest test three generators.  Killing
+    # by bad pairs of the dual's minimal generators, the scan made 201,175
+    # calls
+    assert len(calls) == 109_966
+    assert len(calls) <= 201_175
     calls_above_two = len(calls) - sizes.count(2)
-    assert calls_above_two == 137_409
+    assert calls_above_two == 46_200
     assert calls_above_two <= 0.35 * candidates
 
 
@@ -104,14 +109,20 @@ def test_pruning_reaches_four_generators(monkeypatch):
     calls = counting_kernel(monkeypatch)
     reports = search(SearchConfig(t_min=4, t_max=4, gen_max=20, mu_cap=4))
     assert len(reports) == 2
+    assert len(calls) == 41_565
     assert len(calls) <= 358_122 // 2
 
 
-def brute_bad_differences(S, deltas):
-    # bit D, for D up to frobenius + multiplicity, iff D + d or |D - d| is a
-    # member for some d in deltas
-    return sum(1 << D for D in range(S.frobenius + S.multiplicity + 1)
-               if any((D + d) in S or abs(D - d) in S for d in deltas))
+def kernel_args(S, gens):
+    # the arguments _scan_semigroup passes _bad_generators for the candidate
+    # gens = (0, *offsets), up to the order of the differences
+    frob, m = S.frobenius, S.multiplicity
+    smask = S.element_mask(frob + m + 2 * (frob - m))
+    dual = smask
+    for z in gens[1:]:
+        dual &= smask >> z
+    diffs = tuple(q - p for p, q in itertools.combinations(gens, 2))
+    return dual, smask, (2 << (frob + m)) - 1, S.min_gens, diffs
 
 
 @pytest.mark.parametrize("config", [
@@ -122,40 +133,37 @@ def brute_bad_differences(S, deltas):
     SearchConfig(t_min=4, t_max=4, gen_max=16, mu_cap=5),
 ], ids=["t4-20", "t5-19", "t4-17-cap4", "t3-16-cap4", "t4-16-cap5"])
 def test_every_skipped_candidate_has_a_bad_pair(monkeypatch, config):
-    # a skipped candidate I' needs a minimal generator pair of S - J, for
-    # some J within I' that holds 0, with both ends still in S - I' and bad
-    # for a difference of I'; found here through brick_check's duals.  Such
-    # a pair is a bad pair of minimal generators of S - I' (the lemma in
-    # _bad_pairs), so (S, I') is no brick
-    kernel = brickhunt._bad_pairs
+    # a skipped candidate I' needs a sub-ideal J of I' that holds 0, a
+    # minimal generator w of S - J and a signed difference delta of J with
+    # w and w + delta both in S - I'; found here through brick_check's
+    # duals.  Then w is a minimal generator of S - I' (the lemma in
+    # _bad_generators) and delta a difference of I', so (S, I') is no brick
+    kernel = brickhunt._bad_generators
     tested = set()
 
-    def recording(emask, smask, diffs, wanted, pairs, bad, g):
-        tested.add((emask, diffs))
-        return kernel(emask, smask, diffs, wanted, pairs, bad, g)
+    def recording(dual, smask, strip, atoms, diffs, wanted, masks):
+        tested.add((dual, frozenset(diffs)))
+        return kernel(dual, smask, strip, atoms, diffs, wanted, masks)
 
-    monkeypatch.setattr(brickhunt, "_bad_pairs", recording)
+    monkeypatch.setattr(brickhunt, "_bad_generators", recording)
     skipped = 0
     for S in enumerate_semigroups(config):
         tested.clear()
         _scan_semigroup(S, config)
-        top = S.frobenius - S.multiplicity
-        smask = S.element_mask(S.frobenius + S.multiplicity + top)
-        bad = {g: brute_bad_differences(S, (g,))
-               for g in range(1, top + 1) if g not in S}
         duals = {}
 
         def certified(gens):
-            differences = {q - p for p, q in itertools.combinations(gens, 2)}
+            def in_dual(y):
+                return all((y + z) in S for z in gens)
+
             for size in range(1, len(gens) - 1):
                 for sub in itertools.combinations(gens[1:], size):
                     J = (0, *sub)
                     if J not in duals:
                         duals[J] = brick_check(S, RelativeIdeal(S, J)).dual_ideal.min_gens
-                    ends = [w for w in duals[J] if all((w + z) in S for z in gens)]
-                    if any((b - a + d) in S or abs(b - a - d) in S
-                           for i, a in enumerate(ends) for b in ends[i + 1:]
-                           for d in differences):
+                    if any(in_dual(w) and in_dual(w + q - p)
+                           for w in duals[J]
+                           for p, q in itertools.permutations(J, 2)):
                         return True
             return False
 
@@ -163,28 +171,103 @@ def test_every_skipped_candidate_has_a_bad_pair(monkeypatch, config):
             gens = ideal.min_gens
             if len(gens) < 3:
                 continue
-            emask, diffs = smask, 0
-            for z in gens[1:]:
-                emask &= smask >> z
-            for p, q in itertools.combinations(gens, 2):
-                diffs |= bad[q - p]
-            if (emask, diffs) in tested:
+            dual, _, _, _, diffs = kernel_args(S, gens)
+            if (dual, frozenset(diffs)) in tested:
                 continue
             skipped += 1
             assert certified(gens), (S.min_gens, gens)
     assert skipped > 0
 
 
+# ------------------------------------------------------------ the criterion
+
+def test_criterion_matches_brick_check_over_a_space():
+    # every candidate of t4/gen<=18 at cap 4, decided by the kernel alone
+    cfg = SearchConfig(t_min=4, t_max=4, gen_max=18, mu_cap=4)
+    candidates = bricks = 0
+    for S in enumerate_semigroups(cfg):
+        for ideal in enumerate_ideals(S, cfg):
+            is_brick, kill = _bad_generators(*kernel_args(S, ideal.min_gens),
+                                             0, None)
+            assert is_brick == brick_check(S, ideal).is_brick, (
+                S.min_gens, ideal.min_gens)
+            assert kill == 0
+            candidates += 1
+            bricks += is_brick
+    assert (candidates, bricks) == (141_510, 2)
+
+
+def oracle_is_brick(sgens, igens):
+    # mu(I + (S - I)) == mu(I) * mu(S - I) from brute-force elements: the
+    # dual's minimal generators lie in [m, F + m], and the sums z + w
+    # generate I + (S - I), whose minimal generators are their greedy
+    # reduction
+    frob, m = brute_frobenius(sgens), min(sgens)
+    dual = brute_minimal_generators(
+        sgens, brute_dual_elements(sgens, igens, -1, frob + m + 1))
+    sums = {z + w for z in igens for w in dual}
+    return len(igens) * len(dual) == len(brute_minimal_generators(sgens, sums))
+
+
+@given(st.lists(st.integers(3, 19), min_size=2, max_size=5),
+       st.lists(st.integers(0, 500), min_size=1, max_size=3))
+@example([12, 14, 15, 16], [1, 2])  # (0, 2, 3): only w - delta is in S - I
+@example([6, 7, 15], [0])  # (0, 1): likewise
+@settings(max_examples=150, deadline=None)
+def test_criterion_matches_oracles(gens, picks):
+    # a candidate (0, *offsets), offsets gaps up to F - m with pairwise
+    # differences that are gaps, decided by the kernel, by brick_check and
+    # by brute force
+    assume(math.gcd(*gens) == 1)
+    S = NumericalSemigroup(gens)
+    top = S.frobenius - S.multiplicity
+    assume(top >= 1)
+    offsets = []
+    for x in (1 + p % top for p in picks):
+        if x not in S and all(abs(x - a) not in S for a in [0, *offsets]):
+            offsets.append(x)
+    assume(offsets)
+    ideal = (0, *sorted(offsets))
+    is_brick, _ = _bad_generators(*kernel_args(S, ideal), 0, None)
+    assert is_brick == brick_check(S, RelativeIdeal(S, ideal)).is_brick
+    assert is_brick == oracle_is_brick(S.min_gens, ideal)
+
+
+def test_kill_masks_read_the_wide_window():
+    # the kill masks read the member bitset up to F + m + 2 * (F - m): cut
+    # at F + m + (F - m), it loses kill bits of some (0, g) on t4/gen<=20,
+    # and never gains one
+    cfg = SearchConfig(t_min=4, t_max=4, gen_max=20)
+    lost = 0
+    for S in enumerate_semigroups(cfg):
+        frob, m = S.frobenius, S.multiplicity
+        top = frob - m
+        gapmask = ~S.element_mask(top) & ((1 << (top + 1)) - 1)
+        for g in _bits(gapmask):
+            dual, smask, strip, atoms, diffs = kernel_args(S, (0, g))
+            wanted = gapmask & (gapmask << g)
+            _, kill = _bad_generators(dual, smask, strip, atoms, diffs,
+                                      wanted, None)
+            cut = smask & ((2 << (frob + m + top)) - 1)
+            _, short = _bad_generators(cut & (cut >> g), cut, strip, atoms,
+                                       diffs, wanted, None)
+            assert short & ~kill == 0
+            lost += short != kill
+    assert lost > 0
+
+
 # ------------------------------------------------------------ re-validation
 
 @pytest.mark.parametrize("t,fake", [
-    # every ideal, then only the leaves, then only the (0, g) extractions
-    (3, lambda emask, smask, diffs, wanted, pairs, bad, g: (True, 0)),
-    (4, lambda emask, smask, diffs, wanted, pairs, bad, g: (not wanted, 0)),
-    (4, lambda emask, smask, diffs, wanted, pairs, bad, g: (bool(g), 0)),
+    # every ideal, then only the leaves, then only the (0, g) tests
+    (3, lambda dual, smask, strip, atoms, diffs, wanted, masks: (True, 0)),
+    (4, lambda dual, smask, strip, atoms, diffs, wanted, masks:
+        (not wanted, 0)),
+    (4, lambda dual, smask, strip, atoms, diffs, wanted, masks:
+        (len(diffs) == 1, 0)),
 ], ids=["t3-all", "t4-leaves", "t4-roots"])
 def test_false_kernel_hit_raises(monkeypatch, t, fake):
-    monkeypatch.setattr(brickhunt, "_bad_pairs", fake)
+    monkeypatch.setattr(brickhunt, "_bad_generators", fake)
     with pytest.raises(RuntimeError, match=r"semigroup \(\d+(, \d+)+\), ideal \(0, \d+"):
         search(SearchConfig(t_min=t, t_max=t, gen_max=20))
 
@@ -195,7 +278,7 @@ def test_false_kernel_hit_raises_under_optimize():
         from sgbricks import brickhunt
         if __debug__:
             sys.exit(5)
-        brickhunt._bad_pairs = lambda *args: (True, 0)
+        brickhunt._bad_generators = lambda *args: (True, 0)
         try:
             brickhunt.search(brickhunt.SearchConfig(t_min=4, t_max=4, gen_max=20))
         except RuntimeError as exc:
@@ -225,7 +308,8 @@ def test_lemma_and_bad_pairs(gens, data):
     assume(pairs)
 
     # minimal generators of S - (0, u) that survive into S - (0, u, v) stay
-    # minimal there (brute force, window [-1, frob + m + 1])
+    # minimal there (brute force, window [-1, frob + m + 1]); the kernel
+    # decides both ideals as brute force does
     u, v = data.draw(st.sampled_from(pairs))
     lo, hi = -1, frob + m + 1
     small = brute_dual_elements(S.min_gens, (0, u), lo, hi)
@@ -234,68 +318,62 @@ def test_lemma_and_bad_pairs(gens, data):
     for w in brute_minimal_generators(S.min_gens, small):
         if w in large:
             assert w in large_gens
+    for ideal in ((0, u), (0, u, v)):
+        assert _bad_generators(*kernel_args(S, ideal), 0, None)[0] == \
+            oracle_is_brick(S.min_gens, ideal)
 
-    # the kill mask of (0, g) marks only non-bricks, the flag decides (0, g)
-    # exactly, stopping once every wanted bit is set loses no bit, and the
-    # collected masks are the pairs that make up the kill mask; with the
-    # per-gap table and g, the kill mask also marks exactly the children
-    # (0, g, x) in whose dual a pair that is not bad for g survives, with a
-    # difference up to top that the new differences x or x - g make bad
-    smask = S.element_mask(2 * frob + 2 + top)
+    # at every (0, g) the flag is brick_check's; the kill mask is exactly
+    # the offsets x in wanted that keep both w and w + delta in the dual,
+    # for a minimal generator w of S - (0, g) with w + delta in it,
+    # delta = +-g (so the early stop loses no wanted bit); the collected
+    # masks make up the kill mask; and every ideal (0, g, x) with x killed
+    # is refused by brick_check
     window = (1 << (top + 1)) - 1
-    gapmask = ~smask & window
-    table = [0 if d in S else brute_bad_differences(S, (d,))
-             for d in range(top + 1)]
+    gapmask = ~S.element_mask(top) & window
 
-    def is_bad(D, d):
-        return (D + d) in S or abs(D - d) in S
+    def survives(y, gens):
+        return all((y + z) in S for z in gens)
 
     for g in gaps:
         check = brick_check(S, RelativeIdeal(S, (0, g)))
-        expected = check.is_brick
         dual = check.dual_ideal.min_gens
-        diffs = brute_bad_differences(S, (g,))
+        args = kernel_args(S, (0, g))
         children = gapmask & (gapmask << g)
-        new_bad = sum(1 << x for x in range(top + 1) if children >> x & 1 and any(
-            b - a <= top and not is_bad(b - a, g)
-            and (is_bad(b - a, x) or is_bad(b - a, x - g))
-            for i, a in enumerate(dual) for b in dual[i + 1:]
-            if (a + x) in S and (b + x) in S))
-        masks = {}
+        ends = [(w, w + delta) for w in dual for delta in (g, -g)
+                if survives(w + delta, (0, g))]
+        full = sum(1 << x for x in range(top + 1) if any(
+            (w + x) in S and (y + x) in S for w, y in ends))
         for wanted in (window, gapmask, children, 0):
-            for step in (0, g):
-                found = []
-                is_brick, kill = _bad_pairs(
-                    smask & (smask >> g), smask, diffs, wanted, found, table,
-                    step)
-                assert is_brick == expected
-                assert kill & ~wanted == 0
-                assert (is_brick, kill) == _bad_pairs(
-                    smask & (smask >> g), smask, diffs, wanted, None, table,
-                    step)
-                union = 0
-                for p in found:
-                    union |= p
-                assert union == kill
-                masks[wanted, step] = kill
-        kill = masks[window, 0]
-        assert masks[gapmask, 0] == kill & gapmask
-        assert masks[children, g] == masks[children, 0] | new_bad
-        for x in gaps:
-            if x != g and (abs(x - g) not in S) and (kill >> x) & 1:
+            found = []
+            is_brick, kill = _bad_generators(*args, wanted, found)
+            assert is_brick == check.is_brick
+            assert kill & ~wanted == 0
+            assert kill == full & wanted
+            assert (is_brick, kill) == _bad_generators(*args, wanted, None)
+            union = 0
+            for p in found:
+                union |= p
+            assert union == kill
+        for x in _bits(full & gapmask):
+            if x != g and abs(x - g) not in S:
                 ideal = RelativeIdeal(S, sorted((0, g, x)))
                 assert not brick_check(S, ideal).is_brick
-        for x in _bits(masks[children, g] & ~masks[children, 0]):
-            assert not brick_check(S, RelativeIdeal(S, (0, g, x))).is_brick
 
-    # one level down: a pair of S - (0, u, v) whose mask has bit x rules out
-    # (0, u, v, x)
-    emask = smask & (smask >> u) & (smask >> v)
-    diffs = brute_bad_differences(S, (u, v, v - u))
-    is_brick, kill = _bad_pairs(emask, smask, diffs, window, None, table, 0)
+    # two levels down: (0, u, x, y) with x and y both bits of one collected
+    # mask of (0, u) is no brick
+    found = []
+    _bad_generators(*kernel_args(S, (0, u)), window, found)
+    grandchildren = sorted({
+        tuple(sorted((0, u, x, y))) for p in found
+        for x, y in itertools.combinations(_bits(p & gapmask), 2)
+        if all(abs(a - b) not in S for a, b in ((x, u), (y, u), (x, y)))})
+    for ideal in grandchildren[:200]:
+        assert not brick_check(S, RelativeIdeal(S, ideal)).is_brick
+
+    # one level down: a mask of (0, u, v) with bit x rules out (0, u, v, x)
+    is_brick, kill = _bad_generators(*kernel_args(S, (0, u, v)), window, None)
     assert is_brick == brick_check(S, RelativeIdeal(S, (0, u, v))).is_brick
-    for x in gaps:
-        if (kill >> x) & 1 and x not in (u, v) and all(
-                abs(x - a) not in S for a in (u, v)):
+    for x in _bits(kill & gapmask):
+        if x not in (u, v) and all(abs(x - a) not in S for a in (u, v)):
             ideal = RelativeIdeal(S, sorted((0, u, v, x)))
             assert not brick_check(S, ideal).is_brick
