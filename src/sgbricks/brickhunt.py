@@ -4,20 +4,22 @@ Semigroups come from one walk of the pruned tree of generator tuples
 (_minimal_tuples): a tuple grows only by integers its prefix cannot already
 reach, so every tuple in the tree is a minimal generating set, and the ones
 with gcd 1 are the semigroups, in lexicographic order.  For each semigroup the
-candidate ideals contain 0 plus nonzero offsets up to frobenius minus
-multiplicity, with at most 1 + t // 2 generators for a t-generated
-semigroup, emitted only when the tuple is already minimal.  One kernel
+candidate ideals form one tree (_walk_candidates) rooted at (0,): a child
+appends a nonzero offset up to frobenius minus multiplicity whose
+difference with each generator is a gap, so every node is already a minimal
+generating set, and the tree stops at 1 + t // 2 generators for a
+t-generated semigroup.  enumerate_ideals walks it with nothing pruned, the
+search (_scan_semigroup) with the brick kernel.  The kernel
 (_bad_generators) reads the minimal generators W of a dual D off its bitset
 and decides the brick test with a few shifts: (S, I) is a brick iff no w in
 W has w + delta in D for a difference delta of two generators of I.  Each
 such w and w + delta also break it for every larger ideal whose dual still
 holds both, and the kernel collects the masks of the offsets that keep
-them.  One walk of the candidate tree from (0,) (_scan_semigroup) passes
-the masks down and skips what they rule out, at every depth, each node
-pruning only from its own dual.  The pruning is exact, checked against an
-independent unpruned scan over whole spaces.  Every hit is re-validated
-through ideal.brick_check; a disagreement raises RuntimeError, an explicit
-check that python -O keeps.
+them.  The walk passes the masks down and skips what they rule out, at
+every depth, each node pruning only from its own dual.  The pruning is
+exact, checked against an independent unpruned scan over whole spaces.
+Every hit is re-validated through ideal.brick_check; a disagreement raises
+RuntimeError, an explicit check that python -O keeps.
 
 The search cuts the semigroup walk into chunks of 512 generator tuples and
 fans them out to at most MAX_WORKERS worker processes, which construct and
@@ -149,33 +151,19 @@ def enumerate_semigroups(config: SearchConfig) -> Iterator[NumericalSemigroup]:
 def enumerate_ideals(S: NumericalSemigroup,
                      config: SearchConfig) -> Iterator[RelativeIdeal]:
     """Minimal ideals (0, u1, ...) with nonzero offsets up to
-    frobenius - multiplicity, smallest size first, lexicographic within a
-    size.  Tuples that are not minimal generating sets are never formed:
-    offsets and their pairwise differences are all gaps.  No brick is lost
-    above frobenius - multiplicity: tests/test_brickhunt.py
+    frobenius - multiplicity, in lexicographic order: the candidate tree
+    the search scans, walked in pre-order with nothing pruned.  Tuples that
+    are not minimal generating sets are never formed: offsets and their
+    pairwise differences are all gaps.  No brick is lost above
+    frobenius - multiplicity: tests/test_brickhunt.py
     (test_offset_bound_loses_no_brick) runs brick_check on every minimal
     candidate with an offset in that band, over five spaces at the default
     cap and at cap 4, and finds none."""
-    top = S.frobenius - S.multiplicity
-    if top < 1:
-        return
-    cap = config.cap_for(len(S.min_gens))
-    window = (1 << (top + 1)) - 1
-    gapmask = ~S.element_mask(top) & window
-    gaps = _bits(gapmask)
-
-    def grow(prefix: tuple[int, ...], cand: int,
-             left: int) -> Iterator[tuple[int, ...]]:
-        if left == 0:
-            yield (0,) + prefix
-            return
-        for v in _bits(cand):
-            yield from grow(prefix + (v,), cand & (gapmask << v), left - 1)
-
-    for size in range(2, cap + 1):
-        for u in gaps:
-            for gens in grow((u,), gapmask & (gapmask << u), size - 2):
-                yield RelativeIdeal._trusted(S, gens)
+    found: list[tuple[int, ...]] = []
+    _walk_candidates(S, config.cap_for(len(S.min_gens)),
+                     lambda *_: (True, 0), found.append)
+    for gens in found:
+        yield RelativeIdeal._trusted(S, gens)
 
 
 def search(config: SearchConfig) -> list[BrickReport]:
@@ -260,34 +248,10 @@ def _scan_chunk(args: tuple[tuple, SearchConfig]) -> list[BrickReport]:
 
 def _scan_semigroup(S: NumericalSemigroup,
                     config: SearchConfig) -> list[BrickReport]:
-    """Scan all candidate ideals of one semigroup.
-
-    Candidates form a tree rooted at (0,): a child appends to (0, *offsets)
-    an offset x whose difference with each generator is a gap, so the
-    root's children are the (0, g) for the gaps g <= frobenius - m.  A
-    node's brick test (_bad_generators) reads its dual's bitset and the
-    positive differences of its generators.  Every hit is re-validated
-    through ideal.brick_check before being reported.
-
-    One walk visits the tree in pre-order and passes down the live kill
-    masks, so the lemma in _bad_generators rules at every depth; every node
-    prunes only from its own dual.  A child (0, ..., x) is skipped, untested,
-    when a live mask has bit x; it still roots a subtree, whose live masks
-    are the ones that skipped it.  A tested node's live masks are the ones
-    its dual yields, wanted at its children's offsets.  Leaves need only
-    the OR of the masks, so only nodes with grandchildren keep the masks.
-    """
+    """Scan all candidate ideals of one semigroup: the walk of the
+    candidate tree, pruned by _bad_generators.  Every hit is re-validated
+    through ideal.brick_check before being reported."""
     out: list[BrickReport] = []
-    frob, m = S.frobenius, S.multiplicity
-    top = frob - m
-    if top < 1:
-        return out
-    cap = config.cap_for(len(S.min_gens))
-    # the window of _bad_generators: offsets and differences reach top
-    smask = S.element_mask(frob + m + 2 * top)
-    gapmask = ~smask & ((1 << (top + 1)) - 1)
-    strip = (2 << (frob + m)) - 1
-    atoms = S.min_gens
 
     def report(gens: tuple[int, ...]) -> None:
         ideal = RelativeIdeal._trusted(S, gens)
@@ -299,16 +263,51 @@ def _scan_semigroup(S: NumericalSemigroup,
         if check.is_perfect or not config.perfect_only:
             out.append(BrickReport.from_check(S, ideal, check))
 
+    _walk_candidates(S, config.cap_for(len(S.min_gens)), _bad_generators,
+                     report)
+    return out
+
+
+def _walk_candidates(S: NumericalSemigroup, cap: int, test, hit) -> None:
+    """Walk the candidate ideals of one semigroup with at most cap
+    generators, calling hit(gens) on each one that test accepts.
+
+    Candidates form a tree rooted at (0,): a child appends to (0, *offsets)
+    an offset x whose difference with each generator is a gap, so the
+    root's children are the (0, g) for the gaps g <= frobenius - m, and
+    pre-order is lexicographic order.  A node's test has the signature of
+    _bad_generators: it reads the node's dual bitset and the positive
+    differences of its generators, and returns (accepted, kill) and the
+    kill masks it appends; a test that returns (True, 0) and appends
+    nothing visits every candidate.
+
+    One walk visits the tree in pre-order and passes down the live kill
+    masks, so the lemma in _bad_generators rules at every depth; every node
+    prunes only from its own dual.  A child (0, ..., x) is skipped, untested,
+    when a live mask has bit x; it still roots a subtree, whose live masks
+    are the ones that skipped it.  A tested node's live masks are the ones
+    its dual yields, wanted at its children's offsets.  Leaves need only
+    the OR of the masks, so only nodes with grandchildren keep the masks.
+    """
+    frob, m = S.frobenius, S.multiplicity
+    top = frob - m
+    if top < 1:
+        return
+    # the window of _bad_generators: offsets and differences reach top
+    smask = S.element_mask(frob + m + 2 * top)
+    gapmask = ~smask & ((1 << (top + 1)) - 1)
+    strip = (2 << (frob + m)) - 1
+    atoms = S.min_gens
+
     def walk(gens, diffs, cand, dual, masks):
         # the children gens + (x,), x in cand, of a node with dual bitset
         # dual and positive differences diffs; masks are its live kill masks
         if len(gens) + 1 == cap:
             # the children are leaves, and cand holds only live ones
             for x in _bits(cand):
-                if _bad_generators(dual & (smask >> x), smask, strip, atoms,
-                                   diffs + tuple(map(x.__sub__, gens)), 0,
-                                   None)[0]:
-                    report(gens + (x,))
+                if test(dual & (smask >> x), smask, strip, atoms,
+                        diffs + tuple(map(x.__sub__, gens)), 0, None)[0]:
+                    hit(gens + (x,))
             return
         last = len(gens) + 2 == cap  # the children's children are leaves
         for x in _bits(cand):
@@ -321,10 +320,10 @@ def _scan_semigroup(S: NumericalSemigroup,
                 kill |= p
             if not live:
                 live = None if last else []
-                is_brick, kill = _bad_generators(
+                accepted, kill = test(
                     sub, smask, strip, atoms, child, below, live)
-                if is_brick:
-                    report(gens + (x,))
+                if accepted:
+                    hit(gens + (x,))
             if last:
                 below &= ~kill
             if below:
@@ -332,7 +331,6 @@ def _scan_semigroup(S: NumericalSemigroup,
 
     walk((0,), (), gapmask, smask, [])
     del walk  # frees the semigroup now: the recursive closure is a cycle
-    return out
 
 
 def _bad_generators(dual, smask, strip, atoms, diffs, wanted, masks):
@@ -383,6 +381,10 @@ def _bad_generators(dual, smask, strip, atoms, diffs, wanted, masks):
     is ORed into kill and appended to masks unless masks is None.  The test
     stops at a failing difference once kill holds every wanted bit: at once
     for wanted = 0.
+
+    diffs may repeat a difference: the walk passes (2, 4, 2) for (0, 2, 4).
+    A repeat re-tests the same bits and appends equal masks, so neither
+    is_brick nor kill changes.
     """
     low = dual & strip
     lows = 0

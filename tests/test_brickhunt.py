@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import random
 from pathlib import Path
@@ -114,7 +115,6 @@ def test_enumerate_semigroups_minimal_unique_ordered():
 
 
 def test_enumerate_semigroups_exhaustive_against_naive():
-    import itertools
     cfg = SearchConfig(t_min=2, t_max=3, gen_max=12)
     got = {S.min_gens for S in enumerate_semigroups(cfg)}
     want = set()
@@ -143,24 +143,38 @@ def test_enumerate_ideals_examples():
 
 
 def test_enumerate_ideals_bounds_and_minimality():
-    cfg = SearchConfig(t_min=4, t_max=4, gen_max=30)
-    S = NumericalSemigroup([10, 15, 18, 27])
-    cap = cfg.cap_for(4)
-    seen = set()
-    for I in enumerate_ideals(S, cfg):
-        gens = I.min_gens
-        assert gens[0] == 0
-        assert 2 <= len(gens) <= cap
-        assert all(0 < u <= S.frobenius - S.multiplicity for u in gens[1:])
-        # already minimal: offsets and their differences are gaps
-        for i, a in enumerate(gens):
-            for b in gens[i + 1:]:
-                assert (b - a) not in S
-        assert gens not in seen
-        seen.add(gens)
-    # matches a fresh minimalization through the public constructor
-    for gens in seen:
-        assert RelativeIdeal(S, gens).min_gens == gens
+    for mu_cap, s_gens in itertools.product(
+            (None, 4), ([10, 15, 18, 27], [5, 7, 9], [7, 9, 11, 13, 17],
+                        [2, 5], [2, 3])):
+        S = NumericalSemigroup(s_gens)
+        cfg = SearchConfig(t_min=2, t_max=5, gen_max=30, mu_cap=mu_cap)
+        cap = cfg.cap_for(len(S.min_gens))
+        listed = [I.min_gens for I in enumerate_ideals(S, cfg)]
+        seen = set()
+        for gens in listed:
+            assert gens[0] == 0
+            assert 2 <= len(gens) <= cap
+            assert all(0 < u <= S.frobenius - S.multiplicity for u in gens[1:])
+            # already minimal: offsets and their differences are gaps
+            for i, a in enumerate(gens):
+                for b in gens[i + 1:]:
+                    assert (b - a) not in S
+            assert gens not in seen
+            seen.add(gens)
+        # matches a fresh minimalization through the public constructor
+        for gens in seen:
+            assert RelativeIdeal(S, gens).min_gens == gens
+        # every candidate, in lexicographic order: each set of 1 to cap - 1
+        # gaps up to F - m whose pairwise differences are gaps, after 0
+        gaps = [g for g in range(1, S.frobenius - S.multiplicity + 1)
+                if g not in S]
+        want = sorted(
+            (0, *c) for size in range(1, cap)
+            for c in itertools.combinations(gaps, size)
+            if all(b - a not in S for a, b in itertools.combinations(c, 2)))
+        assert listed == want, s_gens
+        if s_gens == [2, 3]:
+            assert listed == []
 
 
 def test_candidate_duals_are_never_principal():
