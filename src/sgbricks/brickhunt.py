@@ -277,9 +277,9 @@ def _walk_candidates(S: NumericalSemigroup, cap: int, test, hit) -> None:
     root's children are the (0, g) for the gaps g <= frobenius - m, and
     pre-order is lexicographic order.  A node's test has the signature of
     _bad_generators: it reads the node's dual bitset and the positive
-    differences of its generators, and returns (accepted, kill) and the
-    kill masks it appends; a test that returns (True, 0) and appends
-    nothing visits every candidate.
+    differences of its generators, returns (accepted, kill) and appends
+    the node's kill masks to masks; a test that returns (True, 0) and
+    appends nothing visits every candidate.
 
     One walk visits the tree in pre-order and passes down the live kill
     masks, so the lemma in _bad_generators rules at every depth; every node
