@@ -15,7 +15,8 @@ and decides the brick test with a few shifts: (S, I) is a brick iff no w in
 W has w + delta in D for a difference delta of two generators of I.  Each
 such w and w + delta also break it for every larger ideal whose dual still
 holds both, and the kernel collects the masks of the offsets that keep
-them.  The walk passes the masks down and skips what they rule out, at
+them; a w above frobenius - max I rules out the node's whole subtree at
+once.  The walk passes the masks down and skips what they rule out, at
 every depth, each node pruning only from its own dual.  The pruning is
 exact, checked against an independent unpruned scan over whole spaces.
 Every hit is re-validated through ideal.brick_check; a disagreement raises
@@ -276,10 +277,11 @@ def _walk_candidates(S: NumericalSemigroup, cap: int, test, hit) -> None:
     an offset x whose difference with each generator is a gap, so the
     root's children are the (0, g) for the gaps g <= frobenius - m, and
     pre-order is lexicographic order.  A node's test has the signature of
-    _bad_generators: it reads the node's dual bitset and the positive
-    differences of its generators, returns (accepted, kill) and appends
-    the node's kill masks to masks; a test that returns (True, 0) and
-    appends nothing visits every candidate.
+    _bad_generators: it reads the node's dual bitset, the positive
+    differences of its generators and its headroom frobenius - x, x its
+    newest and largest offset, returns (accepted, kill) and appends the
+    node's kill masks to masks; a test that returns (True, 0) and appends
+    nothing visits every candidate.
 
     One walk visits the tree in pre-order and passes down the live kill
     masks, so the lemma in _bad_generators rules at every depth; every node
@@ -306,7 +308,8 @@ def _walk_candidates(S: NumericalSemigroup, cap: int, test, hit) -> None:
             # the children are leaves, and cand holds only live ones
             for x in _bits(cand):
                 if test(dual & (smask >> x), smask, strip, atoms,
-                        diffs + tuple(map(x.__sub__, gens)), 0, None)[0]:
+                        diffs + tuple(map(x.__sub__, gens)), frob - x, 0,
+                        None)[0]:
                     hit(gens + (x,))
             return
         last = len(gens) + 2 == cap  # the children's children are leaves
@@ -321,7 +324,7 @@ def _walk_candidates(S: NumericalSemigroup, cap: int, test, hit) -> None:
             if not live:
                 live = None if last else []
                 accepted, kill = test(
-                    sub, smask, strip, atoms, child, below, live)
+                    sub, smask, strip, atoms, child, frob - x, below, live)
                 if accepted:
                     hit(gens + (x,))
             if last:
@@ -333,10 +336,11 @@ def _walk_candidates(S: NumericalSemigroup, cap: int, test, hit) -> None:
     del walk  # frees the semigroup now: the recursive closure is a cycle
 
 
-def _bad_generators(dual, smask, strip, atoms, diffs, wanted, masks):
+def _bad_generators(dual, smask, strip, atoms, diffs, headroom, wanted,
+                    masks):
     """The brick test of a candidate ideal I from the bitset dual of
-    D = S - I and the positive differences diffs of its generators, and the
-    masks of the children it rules out.
+    D = S - I, the positive differences diffs of its generators and its
+    headroom F - max I, and the masks of the children it rules out.
 
     Returns (is_brick, kill).  Let I have generators z_1 < ... < z_k,
     k >= 2, and let W be the minimal generators of D.  The k * mu(D) sums
@@ -357,7 +361,9 @@ def _bad_generators(dual, smask, strip, atoms, diffs, wanted, masks):
     member bits p + z over the offsets z <= top, so it reads smask through
     F + m + 2 * top; the kill masks below read it at v + d + x, with
     v <= F + m and an offset x <= top, so within the same bound.  The kill
-    masks use that reach: cut at F + m + top, the bitset loses kill bits.
+    masks use that reach when the headroom test below is off: cut at
+    F + m + top, the bitset loses kill bits.  With it on, every pair read
+    ends at or below F and the cut loses none.
 
     The dual of a candidate is never principal, so a brick found here has
     mu(D) >= 2.  As 0 is in I, D lies within S; as every offset is
@@ -377,10 +383,23 @@ def _bad_generators(dual, smask, strip, atoms, diffs, wanted, masks):
     w + delta + x members, at any depth: for delta = d that is bit x of
     (smask & (smask >> d)) >> w, and for delta = -d it is bit x of
     (smask & (smask >> d)) >> (w - d).  Both read the pair at its lower end
-    v, the bits of up | (down >> d) below.  Each such mask, times wanted,
-    is ORed into kill and appended to masks unless masks is None.  The test
-    stops at a failing difference once kill holds every wanted bit: at once
-    for wanted = 0.
+    v, the bits of up | (down >> d) below, visited from the top.  Each such
+    mask, times wanted, is ORed into kill and appended to masks unless masks
+    is None.  The test stops once kill holds every wanted bit: with masks
+    None at the first lower end that completes it, else at the next failing
+    difference; at once for wanted = 0.
+
+    Headroom: a minimal generator w of D above F - z_k, for headroom
+    F - z_k, rules out I and its whole subtree at once.  Then w + z_k > F,
+    so w + z_k + z_i > F is a member for every i, w + z_k is in D, and
+    delta = z_k is a difference of I: (S, I) is no brick.  An ideal I' of
+    the subtree adds offsets x > z_k, and w + x and w + z_k + x exceed F,
+    so by the lemma (S, I') is no brick either.  The kernel then returns
+    (False, wanted) and appends wanted alone, which is exact when wanted
+    holds only offsets above z_k, as the walk's do; a caller that wants the
+    pair masks of lower offsets passes headroom >= F + m, above every w.
+    So every minimal generator of S - I for a brick lies at or below
+    F - max I.
 
     diffs may repeat a difference: the walk passes (2, 4, 2) for (0, 2, 4).
     A repeat re-tests the same bits and appends equal masks, so neither
@@ -391,6 +410,10 @@ def _bad_generators(dual, smask, strip, atoms, diffs, wanted, masks):
     for a in atoms:
         lows |= low << a
     mins = low & ~lows
+    if mins >> (headroom + 1):
+        if masks is not None:
+            masks.append(wanted)
+        return False, wanted
     is_brick = True
     kill = 0
     for d in diffs:
@@ -402,11 +425,16 @@ def _bad_generators(dual, smask, strip, atoms, diffs, wanted, masks):
             return False, kill
         is_brick = False
         both = smask & (smask >> d)
-        for v in _bits(up | down >> d):
+        ends = up | down >> d
+        while ends:  # not _bits: it may stop at the first end it reads
+            v = ends.bit_length() - 1
+            ends ^= 1 << v
             mask = wanted & (both >> v)
             kill |= mask
             if masks is not None:
                 masks.append(mask)
+            elif kill == wanted:
+                return False, kill
     return is_brick, kill
 
 

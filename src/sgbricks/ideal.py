@@ -198,10 +198,12 @@ def _mask_min_gens(emask: int, S: NumericalSemigroup) -> list[int]:
 
 
 def _bits(mask: int) -> list[int]:
-    # the positions of the set bits, ascending
+    # the positions of the set bits, ascending; read from the top, so that
+    # each step works on a shrinking int, where mask & -mask is full width
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        v = mask.bit_length() - 1
+        out.append(v)
+        mask ^= 1 << v
+    out.reverse()
     return out

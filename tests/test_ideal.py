@@ -9,6 +9,7 @@ from sgbricks.brickhunt import lift
 from sgbricks.errors import EmptyInputError, InvalidInputError, ParentMismatchError
 from sgbricks.ideal import (
     RelativeIdeal,
+    _bits,
     _mask_min_gens,
     brick_check,
     maximal_ideal,
@@ -418,3 +419,22 @@ def test_mask_min_gens_on_duals_with_many_generators(sgens, offsets):
         # a member past the strip whose neighbours below are missing, as in
         # a bitset built only through the strip, is no generator
         assert _mask_min_gens(mask | 1 << (top + 3), S) == want
+
+
+def test_bits_against_brute_force():
+    # the set-bit positions, ascending, against the binary digits: zero,
+    # small masks, masks as wide as the benchmark's (about 2,300 bits),
+    # and a sparse mask of 780,000 bits
+    rng = random.Random(20)
+    masks = [0, 1, 2, 3, 0b1011001, (1 << 150) - 1, 1 << 149]
+    masks += [rng.getrandbits(150) for _ in range(20)]
+    masks += [rng.getrandbits(2300) for _ in range(20)]
+    masks += [rng.getrandbits(2300) & rng.getrandbits(2300)
+              & rng.getrandbits(2300) for _ in range(5)]
+    sparse = 1 << 779_999
+    for _ in range(200):
+        sparse |= 1 << rng.randrange(780_000)
+    masks.append(sparse)
+    for mask in masks:
+        digits = bin(mask)[:1:-1]
+        assert _bits(mask) == [i for i, c in enumerate(digits) if c == "1"]

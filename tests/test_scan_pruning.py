@@ -113,16 +113,37 @@ def test_pruning_reaches_four_generators(monkeypatch):
     assert len(calls) <= 358_122 // 2
 
 
-def kernel_args(S, gens):
+def test_pruning_at_cap_five(monkeypatch):
+    # the headroom test appends its covering mask where the early stop of
+    # the pair loop appended none: 26,578 calls before it
+    calls = counting_kernel(monkeypatch)
+    reports = search(SearchConfig(t_min=4, t_max=4, gen_max=18, mu_cap=5))
+    assert len(reports) == 2
+    assert len(calls) == 26_515
+    assert len(calls) <= 26_578
+
+
+def kernel_args(S, gens, smask=None):
     # the arguments _scan_semigroup passes _bad_generators for the candidate
-    # gens = (0, *offsets), up to the order of the differences
+    # gens = (0, *offsets), up to the order of the differences: the last is
+    # the headroom F - max I.  smask, if given, is the member bitset that
+    # the kernel reads, built once for many candidates
     frob, m = S.frobenius, S.multiplicity
-    smask = S.element_mask(frob + m + 2 * (frob - m))
+    if smask is None:
+        smask = S.element_mask(frob + m + 2 * (frob - m))
     dual = smask
     for z in gens[1:]:
         dual &= smask >> z
     diffs = tuple(q - p for p, q in itertools.combinations(gens, 2))
-    return dual, smask, (2 << (frob + m)) - 1, S.min_gens, diffs
+    return (dual, smask, (2 << (frob + m)) - 1, S.min_gens, diffs,
+            frob - gens[-1])
+
+
+def pair_args(S, gens):
+    # kernel_args with the headroom test off (headroom F + m lies above
+    # every minimal generator of the dual), for a wanted mask that holds
+    # offsets at or below max I: the kill masks are then the bad pairs' alone
+    return kernel_args(S, gens)[:5] + (S.frobenius + S.multiplicity,)
 
 
 @pytest.mark.parametrize("config", [
@@ -141,9 +162,10 @@ def test_every_skipped_candidate_has_a_bad_pair(monkeypatch, config):
     kernel = brickhunt._bad_generators
     tested = set()
 
-    def recording(dual, smask, strip, atoms, diffs, wanted, masks):
+    def recording(dual, smask, strip, atoms, diffs, headroom, wanted, masks):
         tested.add((dual, frozenset(diffs)))
-        return kernel(dual, smask, strip, atoms, diffs, wanted, masks)
+        return kernel(dual, smask, strip, atoms, diffs, headroom, wanted,
+                      masks)
 
     monkeypatch.setattr(brickhunt, "_bad_generators", recording)
     skipped = 0
@@ -171,12 +193,45 @@ def test_every_skipped_candidate_has_a_bad_pair(monkeypatch, config):
             gens = ideal.min_gens
             if len(gens) < 3:
                 continue
-            dual, _, _, _, diffs = kernel_args(S, gens)
+            dual, _, _, _, diffs, _ = kernel_args(S, gens)
             if (dual, frozenset(diffs)) in tested:
                 continue
             skipped += 1
             assert certified(gens), (S.min_gens, gens)
     assert skipped > 0
+
+
+@pytest.mark.parametrize("config", [
+    SearchConfig(t_min=4, t_max=4, gen_max=18, mu_cap=4),
+    SearchConfig(t_min=3, t_max=3, gen_max=22, mu_cap=4),
+], ids=["t4-18-cap4", "t3-22-cap4"])
+def test_headroom_rules_out_the_subtree(config):
+    # a candidate I whose dual, by brick_check, has a minimal generator
+    # above F - max I is no brick, and the kernel returns (False, wanted)
+    # for it and appends wanted alone.  Every candidate that extends I by
+    # larger offsets has a flagged parent in the tree, so it is flagged and
+    # refused too
+    high = 0
+    for S in enumerate_semigroups(config):
+        frob, top = S.frobenius, S.frobenius - S.multiplicity
+        smask = S.element_mask(frob + S.multiplicity + 2 * top)
+        gapmask = ~smask & ((1 << (top + 1)) - 1)
+        flagged = set()
+        for ideal in enumerate_ideals(S, config):
+            gens = ideal.min_gens
+            check = brick_check(S, ideal)
+            if max(check.dual_ideal.min_gens) <= frob - gens[-1]:
+                assert gens[:-1] not in flagged, (S.min_gens, gens)
+                continue
+            flagged.add(gens)
+            assert not check.is_brick, (S.min_gens, gens)
+            wanted = gapmask >> (gens[-1] + 1) << (gens[-1] + 1)
+            found = []
+            args = kernel_args(S, gens, smask)
+            assert _bad_generators(*args, wanted, found) == (False, wanted)
+            assert found == [wanted]
+        high += len(flagged)
+    assert high > 0
 
 
 # ------------------------------------------------------------ the criterion
@@ -234,9 +289,10 @@ def test_criterion_matches_oracles(gens, picks):
 
 
 def test_kill_masks_read_the_wide_window():
-    # the kill masks read the member bitset up to F + m + 2 * (F - m): cut
-    # at F + m + (F - m), it loses kill bits of some (0, g) on t4/gen<=20,
-    # and never gains one
+    # with the headroom test off, the kill masks read the member bitset up
+    # to F + m + 2 * (F - m): cut at F + m + (F - m), it loses kill bits of
+    # some (0, g) on t4/gen<=20, and never gains one.  With it on, every
+    # bad pair the masks read ends at or below F, so the cut loses none
     cfg = SearchConfig(t_min=4, t_max=4, gen_max=20)
     lost = 0
     for S in enumerate_semigroups(cfg):
@@ -244,15 +300,19 @@ def test_kill_masks_read_the_wide_window():
         top = frob - m
         gapmask = ~S.element_mask(top) & ((1 << (top + 1)) - 1)
         for g in _bits(gapmask):
-            dual, smask, strip, atoms, diffs = kernel_args(S, (0, g))
             wanted = gapmask & (gapmask << g)
-            _, kill = _bad_generators(dual, smask, strip, atoms, diffs,
-                                      wanted, None)
-            cut = smask & ((2 << (frob + m + top)) - 1)
-            _, short = _bad_generators(cut & (cut >> g), cut, strip, atoms,
-                                       diffs, wanted, None)
-            assert short & ~kill == 0
-            lost += short != kill
+            for make_args in (pair_args, kernel_args):
+                dual, smask, strip, atoms, diffs, room = make_args(S, (0, g))
+                _, kill = _bad_generators(dual, smask, strip, atoms, diffs,
+                                          room, wanted, None)
+                cut = smask & ((2 << (frob + m + top)) - 1)
+                _, short = _bad_generators(cut & (cut >> g), cut, strip,
+                                           atoms, diffs, room, wanted, None)
+                assert short & ~kill == 0
+                if make_args is pair_args:
+                    lost += short != kill
+                else:
+                    assert short == kill, (S.min_gens, g)
     assert lost > 0
 
 
@@ -260,10 +320,11 @@ def test_kill_masks_read_the_wide_window():
 
 @pytest.mark.parametrize("t,fake", [
     # every ideal, then only the leaves, then only the (0, g) tests
-    (3, lambda dual, smask, strip, atoms, diffs, wanted, masks: (True, 0)),
-    (4, lambda dual, smask, strip, atoms, diffs, wanted, masks:
+    (3, lambda dual, smask, strip, atoms, diffs, headroom, wanted, masks:
+        (True, 0)),
+    (4, lambda dual, smask, strip, atoms, diffs, headroom, wanted, masks:
         (not wanted, 0)),
-    (4, lambda dual, smask, strip, atoms, diffs, wanted, masks:
+    (4, lambda dual, smask, strip, atoms, diffs, headroom, wanted, masks:
         (len(diffs) == 1, 0)),
 ], ids=["t3-all", "t4-leaves", "t4-roots"])
 def test_false_kernel_hit_raises(monkeypatch, t, fake):
@@ -327,7 +388,8 @@ def test_lemma_and_bad_pairs(gens, data):
     # for a minimal generator w of S - (0, g) with w + delta in it,
     # delta = +-g (so the early stop loses no wanted bit); the collected
     # masks make up the kill mask; and every ideal (0, g, x) with x killed
-    # is refused by brick_check
+    # is refused by brick_check.  window and gapmask hold offsets up to g,
+    # so they are read with the headroom test off
     window = (1 << (top + 1)) - 1
     gapmask = ~S.element_mask(top) & window
 
@@ -337,13 +399,14 @@ def test_lemma_and_bad_pairs(gens, data):
     for g in gaps:
         check = brick_check(S, RelativeIdeal(S, (0, g)))
         dual = check.dual_ideal.min_gens
-        args = kernel_args(S, (0, g))
         children = gapmask & (gapmask << g)
         ends = [(w, w + delta) for w in dual for delta in (g, -g)
                 if survives(w + delta, (0, g))]
         full = sum(1 << x for x in range(top + 1) if any(
             (w + x) in S and (y + x) in S for w, y in ends))
-        for wanted in (window, gapmask, children, 0):
+        for wanted, make_args in ((window, pair_args), (gapmask, pair_args),
+                                  (children, kernel_args), (0, kernel_args)):
+            args = make_args(S, (0, g))
             found = []
             is_brick, kill = _bad_generators(*args, wanted, found)
             assert is_brick == check.is_brick
@@ -362,7 +425,7 @@ def test_lemma_and_bad_pairs(gens, data):
     # two levels down: (0, u, x, y) with x and y both bits of one collected
     # mask of (0, u) is no brick
     found = []
-    _bad_generators(*kernel_args(S, (0, u)), window, found)
+    _bad_generators(*pair_args(S, (0, u)), window, found)
     grandchildren = sorted({
         tuple(sorted((0, u, x, y))) for p in found
         for x, y in itertools.combinations(_bits(p & gapmask), 2)
@@ -371,7 +434,7 @@ def test_lemma_and_bad_pairs(gens, data):
         assert not brick_check(S, RelativeIdeal(S, ideal)).is_brick
 
     # one level down: a mask of (0, u, v) with bit x rules out (0, u, v, x)
-    is_brick, kill = _bad_generators(*kernel_args(S, (0, u, v)), window, None)
+    is_brick, kill = _bad_generators(*pair_args(S, (0, u, v)), window, None)
     assert is_brick == brick_check(S, RelativeIdeal(S, (0, u, v))).is_brick
     for x in _bits(kill & gapmask):
         if x not in (u, v) and all(abs(x - a) not in S for a in (u, v)):
