@@ -14,11 +14,12 @@ search (_scan_semigroup) with the brick kernel.  The kernel
 and decides the brick test with a few shifts: (S, I) is a brick iff no w in
 W has w + delta in D for a difference delta of two generators of I.  Each
 such w and w + delta also break it for every larger ideal whose dual still
-holds both, and the kernel collects the masks of the offsets that keep
-them; a w above frobenius - max I rules out the node's whole subtree at
-once.  The walk passes the masks down and skips what they rule out, at
-every depth, each node pruning only from its own dual.  The pruning is
-exact, checked against an independent unpruned scan over whole spaces.
+holds both, and the kernel returns one kill bitset: at a node whose
+children are leaves, the children's offsets that keep such a pair; at any
+node, every offset when a w above frobenius - max I rules out the node's
+whole subtree at once.  The walk skips what the kill rules out, each node
+pruning only from its own dual.  The pruning is exact, checked against an
+independent unpruned scan over whole spaces.
 Every hit is re-validated through ideal.brick_check; a disagreement raises
 RuntimeError, an explicit check that python -O keeps.
 
@@ -278,18 +279,19 @@ def _walk_candidates(S: NumericalSemigroup, cap: int, test, hit) -> None:
     root's children are the (0, g) for the gaps g <= frobenius - m, and
     pre-order is lexicographic order.  A node's test has the signature of
     _bad_generators: it reads the node's dual bitset, the positive
-    differences of its generators and its headroom frobenius - x, x its
-    newest and largest offset, returns (accepted, kill) and appends the
-    node's kill masks to masks; a test that returns (True, 0) and appends
-    nothing visits every candidate.
+    differences of its generators, its headroom frobenius - x, x its newest
+    and largest offset, and the bitset wanted of the offsets it may rule
+    out, and returns (accepted, kill); a test that returns (True, 0) visits
+    every candidate.
 
-    One walk visits the tree in pre-order and passes down the live kill
-    masks, so the lemma in _bad_generators rules at every depth; every node
-    prunes only from its own dual.  A child (0, ..., x) is skipped, untested,
-    when a live mask has bit x; it still roots a subtree, whose live masks
-    are the ones that skipped it.  A tested node's live masks are the ones
-    its dual yields, wanted at its children's offsets.  Leaves need only
-    the OR of the masks, so only nodes with grandchildren keep the masks.
+    Every inner node is tested, and its kill drops offsets from its
+    children: a node whose children are leaves wants their offsets, and a
+    leaf is skipped, untested, only when its parent's bad pairs rule it
+    out; a higher node wants none, and its kill is -1, every offset, only
+    when the headroom test rules out its whole subtree.  A child that a
+    bad pair of an ancestor rules out is tested itself, and by the lemma in
+    _bad_generators its own dual yields the same pair, so its kill holds
+    every bit the ancestor's would have passed down.
     """
     frob, m = S.frobenius, S.multiplicity
     top = frob - m
@@ -301,15 +303,14 @@ def _walk_candidates(S: NumericalSemigroup, cap: int, test, hit) -> None:
     strip = (2 << (frob + m)) - 1
     atoms = S.min_gens
 
-    def walk(gens, diffs, cand, dual, masks):
+    def walk(gens, diffs, cand, dual):
         # the children gens + (x,), x in cand, of a node with dual bitset
-        # dual and positive differences diffs; masks are its live kill masks
+        # dual and positive differences diffs
         if len(gens) + 1 == cap:
             # the children are leaves, and cand holds only live ones
             for x in _bits(cand):
                 if test(dual & (smask >> x), smask, strip, atoms,
-                        diffs + tuple(map(x.__sub__, gens)), frob - x, 0,
-                        None)[0]:
+                        diffs + tuple(map(x.__sub__, gens)), frob - x, 0)[0]:
                     hit(gens + (x,))
             return
         last = len(gens) + 2 == cap  # the children's children are leaves
@@ -317,30 +318,24 @@ def _walk_candidates(S: NumericalSemigroup, cap: int, test, hit) -> None:
             child = diffs + tuple(map(x.__sub__, gens))
             sub = dual & (smask >> x)
             below = cand & (gapmask << x)
-            live = [p for p in masks if p >> x & 1]
-            kill = 0
-            for p in live:
-                kill |= p
-            if not live:
-                live = None if last else []
-                accepted, kill = test(
-                    sub, smask, strip, atoms, child, frob - x, below, live)
-                if accepted:
-                    hit(gens + (x,))
-            if last:
-                below &= ~kill
+            accepted, kill = test(sub, smask, strip, atoms, child, frob - x,
+                                  below if last else 0)
+            if accepted:
+                hit(gens + (x,))
+            below &= ~kill
             if below:
-                walk(gens + (x,), child, below, sub, live)
+                walk(gens + (x,), child, below, sub)
 
-    walk((0,), (), gapmask, smask, [])
+    walk((0,), (), gapmask, smask)
     del walk  # frees the semigroup now: the recursive closure is a cycle
 
 
-def _bad_generators(dual, smask, strip, atoms, diffs, headroom, wanted,
-                    masks):
+def _bad_generators(dual, smask, strip, atoms, diffs, headroom, wanted):
     """The brick test of a candidate ideal I from the bitset dual of
     D = S - I, the positive differences diffs of its generators and its
-    headroom F - max I, and the masks of the children it rules out.
+    headroom F - max I, with the bitset kill of the offsets whose
+    extensions of I it rules out: bits of wanted, or -1 when the headroom
+    test below rules out every extension.
 
     Returns (is_brick, kill).  Let I have generators z_1 < ... < z_k,
     k >= 2, and let W be the minimal generators of D.  The k * mu(D) sums
@@ -384,10 +379,9 @@ def _bad_generators(dual, smask, strip, atoms, diffs, headroom, wanted,
     (smask & (smask >> d)) >> w, and for delta = -d it is bit x of
     (smask & (smask >> d)) >> (w - d).  Both read the pair at its lower end
     v, the bits of up | (down >> d) below, visited from the top.  Each such
-    mask, times wanted, is ORed into kill and appended to masks unless masks
-    is None.  The test stops once kill holds every wanted bit: with masks
-    None at the first lower end that completes it, else at the next failing
-    difference; at once for wanted = 0.
+    mask, times wanted, is ORed into kill, and the test stops at the lower
+    end that makes kill hold every wanted bit; at the first failing
+    difference for wanted = 0.
 
     Headroom: a minimal generator w of D above F - z_k, for headroom
     F - z_k, rules out I and its whole subtree at once.  Then w + z_k > F,
@@ -395,14 +389,14 @@ def _bad_generators(dual, smask, strip, atoms, diffs, headroom, wanted,
     delta = z_k is a difference of I: (S, I) is no brick.  An ideal I' of
     the subtree adds offsets x > z_k, and w + x and w + z_k + x exceed F,
     so by the lemma (S, I') is no brick either.  The kernel then returns
-    (False, wanted) and appends wanted alone, which is exact when wanted
-    holds only offsets above z_k, as the walk's do; a caller that wants the
-    pair masks of lower offsets passes headroom >= F + m, above every w.
-    So every minimal generator of S - I for a brick lies at or below
+    (False, -1), -1 the bitset of every offset, whatever wanted holds: the
+    walk reads it only at offsets above z_k; a caller that wants the pair
+    masks of lower offsets passes headroom >= F + m, above every w.  So
+    every minimal generator of S - I for a brick lies at or below
     F - max I.
 
     diffs may repeat a difference: the walk passes (2, 4, 2) for (0, 2, 4).
-    A repeat re-tests the same bits and appends equal masks, so neither
+    A repeat re-tests the same bits and ORs in equal masks, so neither
     is_brick nor kill changes.
     """
     low = dual & strip
@@ -411,9 +405,7 @@ def _bad_generators(dual, smask, strip, atoms, diffs, headroom, wanted,
         lows |= low << a
     mins = low & ~lows
     if mins >> (headroom + 1):
-        if masks is not None:
-            masks.append(wanted)
-        return False, wanted
+        return False, -1
     is_brick = True
     kill = 0
     for d in diffs:
@@ -421,19 +413,16 @@ def _bad_generators(dual, smask, strip, atoms, diffs, headroom, wanted,
         down = mins & (dual << d)
         if not up | down:
             continue
-        if not wanted & ~kill:
-            return False, kill
+        if not wanted:
+            return False, 0
         is_brick = False
         both = smask & (smask >> d)
         ends = up | down >> d
         while ends:  # not _bits: it may stop at the first end it reads
             v = ends.bit_length() - 1
             ends ^= 1 << v
-            mask = wanted & (both >> v)
-            kill |= mask
-            if masks is not None:
-                masks.append(mask)
-            elif kill == wanted:
+            kill |= wanted & (both >> v)
+            if kill == wanted:
                 return False, kill
     return is_brick, kill
 

@@ -46,8 +46,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
     (SearchConfig(t_min=3, t_max=3, gen_max=22, mu_cap=4), 10),
     (SearchConfig(t_min=4, t_max=4, gen_max=18, mu_cap=5), 2),
     (SearchConfig(t_min=2, t_max=5, gen_max=22, perfect_only=True), 2),
+    (SearchConfig(t_min=6, t_max=6, gen_max=21), 3),
 ], ids=["t4-27", "t5-22", "t4-20-cap4", "t3-22-cap4", "t4-18-cap5",
-        "t2to5-22-perfect"])
+        "t2to5-22-perfect", "t6-21"])
 def test_scan_matches_reference_over_whole_space(config, hits):
     found = 0
     for S in enumerate_semigroups(config):
@@ -64,8 +65,8 @@ def test_scan_matches_reference_over_whole_space(config, hits):
     ((12, 21, 30, 31), (0, 3, 9, 14)),
 ])
 def test_scan_matches_reference_on_four_generator_bricks(gens, ideal):
-    # at caps above 3 a killed (0, u, v) must still root its extensions:
-    # (0, 3, 9) is killed over (12, 21, 30, 31), (0, 3, 9, 14) is a brick
+    # at caps above 3 a (0, u, v) that is no brick must still root its
+    # extensions: (0, 3, 9) over (12, 21, 30, 31) is none, (0, 3, 9, 14) is
     cfg = SearchConfig(t_min=4, t_max=4, gen_max=31, mu_cap=4)
     S = NumericalSemigroup(gens)
     got = _scan_semigroup(S, cfg)
@@ -109,18 +110,22 @@ def test_pruning_reaches_four_generators(monkeypatch):
     calls = counting_kernel(monkeypatch)
     reports = search(SearchConfig(t_min=4, t_max=4, gen_max=20, mu_cap=4))
     assert len(reports) == 2
-    assert len(calls) == 41_565
+    assert len(calls) == 50_902
     assert len(calls) <= 358_122 // 2
 
 
 def test_pruning_at_cap_five(monkeypatch):
-    # the headroom test appends its covering mask where the early stop of
-    # the pair loop appended none: 26,578 calls before it
+    # only the headroom test prunes above the leaves' parents, so a node
+    # that a bad pair of an ancestor rules out is tested itself
+    cfg = SearchConfig(t_min=4, t_max=4, gen_max=18, mu_cap=5)
+    candidates = sum(1 for S in enumerate_semigroups(cfg)
+                     for _ in enumerate_ideals(S, cfg))
+    assert candidates == 327_783
     calls = counting_kernel(monkeypatch)
-    reports = search(SearchConfig(t_min=4, t_max=4, gen_max=18, mu_cap=5))
+    reports = search(cfg)
     assert len(reports) == 2
-    assert len(calls) == 26_515
-    assert len(calls) <= 26_578
+    assert len(calls) == 30_743
+    assert len(calls) <= candidates // 10
 
 
 def kernel_args(S, gens, smask=None):
@@ -142,7 +147,8 @@ def kernel_args(S, gens, smask=None):
 def pair_args(S, gens):
     # kernel_args with the headroom test off (headroom F + m lies above
     # every minimal generator of the dual), for a wanted mask that holds
-    # offsets at or below max I: the kill masks are then the bad pairs' alone
+    # offsets at or below max I: the kill is then the bad pairs' masks, not
+    # the -1 of the headroom test
     return kernel_args(S, gens)[:5] + (S.frobenius + S.multiplicity,)
 
 
@@ -162,10 +168,9 @@ def test_every_skipped_candidate_has_a_bad_pair(monkeypatch, config):
     kernel = brickhunt._bad_generators
     tested = set()
 
-    def recording(dual, smask, strip, atoms, diffs, headroom, wanted, masks):
+    def recording(dual, smask, strip, atoms, diffs, headroom, wanted):
         tested.add((dual, frozenset(diffs)))
-        return kernel(dual, smask, strip, atoms, diffs, headroom, wanted,
-                      masks)
+        return kernel(dual, smask, strip, atoms, diffs, headroom, wanted)
 
     monkeypatch.setattr(brickhunt, "_bad_generators", recording)
     skipped = 0
@@ -207,10 +212,10 @@ def test_every_skipped_candidate_has_a_bad_pair(monkeypatch, config):
 ], ids=["t4-18-cap4", "t3-22-cap4"])
 def test_headroom_rules_out_the_subtree(config):
     # a candidate I whose dual, by brick_check, has a minimal generator
-    # above F - max I is no brick, and the kernel returns (False, wanted)
-    # for it and appends wanted alone.  Every candidate that extends I by
-    # larger offsets has a flagged parent in the tree, so it is flagged and
-    # refused too
+    # above F - max I is no brick, and the kernel returns (False, -1) for
+    # it, -1 the bitset of every offset, whatever it wants.  Every candidate
+    # that extends I by larger offsets has a flagged parent in the tree, so
+    # it is flagged and refused too
     high = 0
     for S in enumerate_semigroups(config):
         frob, top = S.frobenius, S.frobenius - S.multiplicity
@@ -226,10 +231,9 @@ def test_headroom_rules_out_the_subtree(config):
             flagged.add(gens)
             assert not check.is_brick, (S.min_gens, gens)
             wanted = gapmask >> (gens[-1] + 1) << (gens[-1] + 1)
-            found = []
             args = kernel_args(S, gens, smask)
-            assert _bad_generators(*args, wanted, found) == (False, wanted)
-            assert found == [wanted]
+            assert _bad_generators(*args, wanted) == (False, -1)
+            assert _bad_generators(*args, 0) == (False, -1)
         high += len(flagged)
     assert high > 0
 
@@ -237,16 +241,19 @@ def test_headroom_rules_out_the_subtree(config):
 # ------------------------------------------------------------ the criterion
 
 def test_criterion_matches_brick_check_over_a_space():
-    # every candidate of t4/gen<=18 at cap 4, decided by the kernel alone
+    # every candidate of t4/gen<=18 at cap 4, decided by the kernel alone;
+    # with nothing wanted it kills nothing unless the headroom test rules
+    # out the whole subtree
     cfg = SearchConfig(t_min=4, t_max=4, gen_max=18, mu_cap=4)
     candidates = bricks = 0
     for S in enumerate_semigroups(cfg):
         for ideal in enumerate_ideals(S, cfg):
             is_brick, kill = _bad_generators(*kernel_args(S, ideal.min_gens),
-                                             0, None)
-            assert is_brick == brick_check(S, ideal).is_brick, (
-                S.min_gens, ideal.min_gens)
-            assert kill == 0
+                                             0)
+            check = brick_check(S, ideal)
+            assert is_brick == check.is_brick, (S.min_gens, ideal.min_gens)
+            high = max(check.dual_ideal.min_gens) > S.frobenius - ideal.min_gens[-1]
+            assert kill == (-1 if high else 0), (S.min_gens, ideal.min_gens)
             candidates += 1
             bricks += is_brick
     assert (candidates, bricks) == (141_510, 2)
@@ -283,7 +290,7 @@ def test_criterion_matches_oracles(gens, picks):
             offsets.append(x)
     assume(offsets)
     ideal = (0, *sorted(offsets))
-    is_brick, _ = _bad_generators(*kernel_args(S, ideal), 0, None)
+    is_brick, _ = _bad_generators(*kernel_args(S, ideal), 0)
     assert is_brick == brick_check(S, RelativeIdeal(S, ideal)).is_brick
     assert is_brick == oracle_is_brick(S.min_gens, ideal)
 
@@ -304,10 +311,10 @@ def test_kill_masks_read_the_wide_window():
             for make_args in (pair_args, kernel_args):
                 dual, smask, strip, atoms, diffs, room = make_args(S, (0, g))
                 _, kill = _bad_generators(dual, smask, strip, atoms, diffs,
-                                          room, wanted, None)
+                                          room, wanted)
                 cut = smask & ((2 << (frob + m + top)) - 1)
                 _, short = _bad_generators(cut & (cut >> g), cut, strip,
-                                           atoms, diffs, room, wanted, None)
+                                           atoms, diffs, room, wanted)
                 assert short & ~kill == 0
                 if make_args is pair_args:
                     lost += short != kill
@@ -320,11 +327,11 @@ def test_kill_masks_read_the_wide_window():
 
 @pytest.mark.parametrize("t,fake", [
     # every ideal, then only the leaves, then only the (0, g) tests
-    (3, lambda dual, smask, strip, atoms, diffs, headroom, wanted, masks:
+    (3, lambda dual, smask, strip, atoms, diffs, headroom, wanted:
         (True, 0)),
-    (4, lambda dual, smask, strip, atoms, diffs, headroom, wanted, masks:
+    (4, lambda dual, smask, strip, atoms, diffs, headroom, wanted:
         (not wanted, 0)),
-    (4, lambda dual, smask, strip, atoms, diffs, headroom, wanted, masks:
+    (4, lambda dual, smask, strip, atoms, diffs, headroom, wanted:
         (len(diffs) == 1, 0)),
 ], ids=["t3-all", "t4-leaves", "t4-roots"])
 def test_false_kernel_hit_raises(monkeypatch, t, fake):
@@ -380,61 +387,63 @@ def test_lemma_and_bad_pairs(gens, data):
         if w in large:
             assert w in large_gens
     for ideal in ((0, u), (0, u, v)):
-        assert _bad_generators(*kernel_args(S, ideal), 0, None)[0] == \
+        assert _bad_generators(*kernel_args(S, ideal), 0)[0] == \
             oracle_is_brick(S.min_gens, ideal)
 
-    # at every (0, g) the flag is brick_check's; the kill mask is exactly
-    # the offsets x in wanted that keep both w and w + delta in the dual,
-    # for a minimal generator w of S - (0, g) with w + delta in it,
-    # delta = +-g (so the early stop loses no wanted bit); the collected
-    # masks make up the kill mask; and every ideal (0, g, x) with x killed
-    # is refused by brick_check.  window and gapmask hold offsets up to g,
-    # so they are read with the headroom test off
+    # at every (0, g) the flag is brick_check's.  Each bad pair
+    # (w, w + delta), w a minimal generator of S - (0, g) with w + delta in
+    # it, delta = +-g, has the mask of the offsets x up to top that keep
+    # both in the dual.  With the headroom test off the kill mask is
+    # exactly their union in wanted (so the early stop loses no wanted
+    # bit); with it on it is that too, or -1 where the dual has a minimal
+    # generator above F - g.  Every ideal (0, g, x) with x killed is refused
+    # by brick_check.  window and gapmask hold offsets up to g, so they are
+    # read with the headroom test off
     window = (1 << (top + 1)) - 1
     gapmask = ~S.element_mask(top) & window
 
     def survives(y, gens):
         return all((y + z) in S for z in gens)
 
+    pair_masks = {}
     for g in gaps:
         check = brick_check(S, RelativeIdeal(S, (0, g)))
         dual = check.dual_ideal.min_gens
         children = gapmask & (gapmask << g)
         ends = [(w, w + delta) for w in dual for delta in (g, -g)
                 if survives(w + delta, (0, g))]
-        full = sum(1 << x for x in range(top + 1) if any(
-            (w + x) in S and (y + x) in S for w, y in ends))
+        pair_masks[g] = [sum(1 << x for x in range(top + 1)
+                             if (w + x) in S and (y + x) in S)
+                         for w, y in ends]
+        full = 0
+        for p in pair_masks[g]:
+            full |= p
+        high = max(dual) > frob - g
         for wanted, make_args in ((window, pair_args), (gapmask, pair_args),
                                   (children, kernel_args), (0, kernel_args)):
-            args = make_args(S, (0, g))
-            found = []
-            is_brick, kill = _bad_generators(*args, wanted, found)
+            is_brick, kill = _bad_generators(*make_args(S, (0, g)), wanted)
             assert is_brick == check.is_brick
-            assert kill & ~wanted == 0
-            assert kill == full & wanted
-            assert (is_brick, kill) == _bad_generators(*args, wanted, None)
-            union = 0
-            for p in found:
-                union |= p
-            assert union == kill
+            if make_args is kernel_args and high:
+                assert kill == -1
+            else:
+                assert kill & ~wanted == 0
+                assert kill == full & wanted
         for x in _bits(full & gapmask):
             if x != g and abs(x - g) not in S:
                 ideal = RelativeIdeal(S, sorted((0, g, x)))
                 assert not brick_check(S, ideal).is_brick
 
-    # two levels down: (0, u, x, y) with x and y both bits of one collected
-    # mask of (0, u) is no brick
-    found = []
-    _bad_generators(*pair_args(S, (0, u)), window, found)
+    # two levels down: (0, u, x, y) with x and y both offsets that keep one
+    # bad pair of (0, u) is no brick
     grandchildren = sorted({
-        tuple(sorted((0, u, x, y))) for p in found
+        tuple(sorted((0, u, x, y))) for p in pair_masks[u]
         for x, y in itertools.combinations(_bits(p & gapmask), 2)
         if all(abs(a - b) not in S for a, b in ((x, u), (y, u), (x, y)))})
     for ideal in grandchildren[:200]:
         assert not brick_check(S, RelativeIdeal(S, ideal)).is_brick
 
-    # one level down: a mask of (0, u, v) with bit x rules out (0, u, v, x)
-    is_brick, kill = _bad_generators(*pair_args(S, (0, u, v)), window, None)
+    # one level down: a kill bit x of (0, u, v) rules out (0, u, v, x)
+    is_brick, kill = _bad_generators(*pair_args(S, (0, u, v)), window)
     assert is_brick == brick_check(S, RelativeIdeal(S, (0, u, v))).is_brick
     for x in _bits(kill & gapmask):
         if x not in (u, v) and all(abs(x - a) not in S for a in (u, v)):
