@@ -239,19 +239,14 @@ def boundary_sets(profile: BalancedProfile) -> BoundaryDecomposition:
     """
     if not profile.is_unitary:
         raise NotUnitaryError("boundary sets are defined for unitary quadruples")
-    a1, a2, a3, a4 = profile.gens
-    q1, q2, q3 = profile.q1, profile.q2, profile.q3
-    part1 = tuple(SurplusTerm(t1 * a1 + t4 * a4, t1, 0, t4)
-                  for t4 in range(1, q1) for t1 in range(t4))
-    part2 = tuple(SurplusTerm(t1 * a1 + t2 * a2 + t4 * a4, t1, t2, t4)
-                  for t2 in range(1, q3 + 1)
-                  for t4 in range(1, q1) for t1 in range(t4))
-    part3 = tuple(SurplusTerm(t1 * a1 + t3 * a3 + t4 * a4, t1, t3, t4)
-                  for t3 in range(1, q2)
-                  for t4 in range(1, q1) for t1 in range(t4))
+    # each Apery term t of the three boxes, plus t1 * a1 for t1 < t.top
+    boxes = apery_partition(profile)
+    parts = (tuple(SurplusTerm(t.value + t1 * profile.a1, t1, t.mid, t.top)
+                   for t in part for t1 in range(t.top))
+             for part in (boxes.part1, boxes.part2, boxes.part3))
+    q1 = profile.q1
     # (q1 - 1) * q1 is even, so dividing last keeps everything integral
-    predicted = (q1 - 1) * q1 * profile.outer_gcd // 2
-    return BoundaryDecomposition(part1, part2, part3, predicted)
+    return BoundaryDecomposition(*parts, (q1 - 1) * q1 * profile.outer_gcd // 2)
 
 
 def _triple_formula(profile: BalancedProfile) -> int:

@@ -25,8 +25,10 @@ RuntimeError, an explicit check that python -O keeps.
 
 The search cuts the semigroup walk into chunks of 512 generator tuples and
 fans them out to at most MAX_WORKERS worker processes, which construct and
-scan each semigroup; workers own their result lists and a final sort by
-(semigroup, ideal) generators makes the output independent of scheduling.
+scan each semigroup.  The chunks are contiguous runs of the walk and come
+back in order, and each scan reports its hits in pre-order, so the output
+is ordered by (semigroup, ideal) generators with no final sort, whatever
+the scheduling.
 
 One record schema serves both report formats and the read-back: each field
 of BrickReport, its key in the JSON lines, its column in TABLE_HEADER and its
@@ -37,6 +39,7 @@ its kind, so a malformed record raises InvalidInputError naming its line.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -174,16 +177,11 @@ def search(config: SearchConfig) -> list[BrickReport]:
     count."""
     tuples = _minimal_tuples(config)
     chunks = iter(lambda: tuple(itertools.islice(tuples, 512)), ())
-    tasks = zip(chunks, itertools.repeat(config))
+    scan = functools.partial(_scan_chunk, config=config)
     if config.worker_count <= 1:
-        chunked = map(_scan_chunk, tasks)
-        reports = [r for chunk in chunked for r in chunk]
-    else:
-        with Pool(config.worker_count) as pool:
-            reports = [r for chunk in pool.imap_unordered(_scan_chunk, tasks)
-                       for r in chunk]
-    reports.sort(key=lambda r: (r.s_gens, r.i_gens))
-    return reports
+        return [r for chunk in map(scan, chunks) for r in chunk]
+    with Pool(config.worker_count) as pool:
+        return [r for chunk in pool.imap(scan, chunks) for r in chunk]
 
 
 def lift(S: NumericalSemigroup, I: RelativeIdeal) -> LiftResult:
@@ -242,8 +240,8 @@ def _minimal_tuples(config: SearchConfig) -> Iterator[tuple[int, ...]]:
     return extend((), 1)
 
 
-def _scan_chunk(args: tuple[tuple, SearchConfig]) -> list[BrickReport]:
-    tuples, config = args
+def _scan_chunk(tuples: tuple[tuple[int, ...], ...],
+                config: SearchConfig) -> list[BrickReport]:
     return [r for gens in tuples
             for r in _scan_semigroup(NumericalSemigroup(gens), config)]
 
@@ -297,10 +295,10 @@ def _walk_candidates(S: NumericalSemigroup, cap: int, test, hit) -> None:
     top = frob - m
     if top < 1:
         return
-    # the window of _bad_generators: offsets and differences reach top
-    smask = S.element_mask(frob + m + 2 * top)
+    # the window of _bad_generators: the root's dual is masked to
+    # [0, F + m] once, and a child's dual reads smask at most top above it
+    smask = S.element_mask(frob + m + top)
     gapmask = ~smask & ((1 << (top + 1)) - 1)
-    strip = (2 << (frob + m)) - 1
     atoms = S.min_gens
 
     def walk(gens, diffs, cand, dual):
@@ -309,7 +307,7 @@ def _walk_candidates(S: NumericalSemigroup, cap: int, test, hit) -> None:
         if len(gens) + 1 == cap:
             # the children are leaves, and cand holds only live ones
             for x in _bits(cand):
-                if test(dual & (smask >> x), smask, strip, atoms,
+                if test(dual & (smask >> x), smask, atoms,
                         diffs + tuple(map(x.__sub__, gens)), frob - x, 0)[0]:
                     hit(gens + (x,))
             return
@@ -318,7 +316,7 @@ def _walk_candidates(S: NumericalSemigroup, cap: int, test, hit) -> None:
             child = diffs + tuple(map(x.__sub__, gens))
             sub = dual & (smask >> x)
             below = cand & (gapmask << x)
-            accepted, kill = test(sub, smask, strip, atoms, child, frob - x,
+            accepted, kill = test(sub, smask, atoms, child, frob - x,
                                   below if last else 0)
             if accepted:
                 hit(gens + (x,))
@@ -326,11 +324,11 @@ def _walk_candidates(S: NumericalSemigroup, cap: int, test, hit) -> None:
             if below:
                 walk(gens + (x,), child, below, sub)
 
-    walk((0,), (), gapmask, smask)
+    walk((0,), (), gapmask, smask & ((2 << (frob + m)) - 1))
     del walk  # frees the semigroup now: the recursive closure is a cycle
 
 
-def _bad_generators(dual, smask, strip, atoms, diffs, headroom, wanted):
+def _bad_generators(dual, smask, atoms, diffs, headroom, wanted):
     """The brick test of a candidate ideal I from the bitset dual of
     D = S - I, the positive differences diffs of its generators and its
     headroom F - max I, with the bitset kill of the offsets whose
@@ -346,19 +344,22 @@ def _bad_generators(dual, smask, strip, atoms, diffs, headroom, wanted):
     difference delta = z_i - z_j.  Hence (S, I) is a brick iff W misses
     D - delta for every delta: in bits, mins & ((dual >> d) | (dual << d))
     is 0 for every d in diffs.  mins is the bitset of W: w is in D and no
-    w - a is, for a in atoms (the minimal generators of S), and every w
-    lies in strip = [0, F + m], F the Frobenius number and m the
-    multiplicity, since w - m > F would be in D.
+    w - a is, for a in atoms (the minimal generators of S).  Every w lies
+    at or below F + m, F the Frobenius number and m the multiplicity,
+    since w - m > F would be in D.
 
-    The window.  smask must be complete through F + m + 2 * top, where
-    top = F - m bounds every offset and every difference of I.  The test
-    reads D at w + d <= F + m + top, and bit p of dual is the AND of the
-    member bits p + z over the offsets z <= top, so it reads smask through
-    F + m + 2 * top; the kill masks below read it at v + d + x, with
-    v <= F + m and an offset x <= top, so within the same bound.  The kill
-    masks use that reach when the headroom test below is off: cut at
-    F + m + top, the bitset loses kill bits.  With it on, every pair read
-    ends at or below F and the cut loses none.
+    The window.  dual is D within [0, F + m], and smask, the member bitset,
+    is complete through F + m + top, where top = F - m bounds every offset
+    and every difference of I.  The set bits of dual are a prefix of D, so
+    mins is exact: each w - a lies below w.  Past the headroom test below,
+    every w lies at or below F - max I, so the test reads D at w + d <= F,
+    and a kill mask reads smask at v + d + x <= F + top, v + d <= F the
+    upper end of a bad pair and x <= top an offset.  A caller that turns
+    the headroom test off, with a headroom of F + m or more, reads D at
+    w + d <= F + m + top and smask at v + d + x <= F + m + 2 * top: it must
+    pass a dual complete through F + m + top and an smask complete through
+    F + m + 2 * top.  A dual longer than [0, F + m] gives the same mins,
+    since each of its bits w above F + m has w - m in D.
 
     The dual of a candidate is never principal, so a brick found here has
     mu(D) >= 2.  As 0 is in I, D lies within S; as every offset is
@@ -391,7 +392,8 @@ def _bad_generators(dual, smask, strip, atoms, diffs, headroom, wanted):
     so by the lemma (S, I') is no brick either.  The kernel then returns
     (False, -1), -1 the bitset of every offset, whatever wanted holds: the
     walk reads it only at offsets above z_k; a caller that wants the pair
-    masks of lower offsets passes headroom >= F + m, above every w.  So
+    masks of lower offsets passes headroom >= F + m, above every w, and the
+    wider window above.  So
     every minimal generator of S - I for a brick lies at or below
     F - max I.
 
@@ -399,11 +401,10 @@ def _bad_generators(dual, smask, strip, atoms, diffs, headroom, wanted):
     A repeat re-tests the same bits and ORs in equal masks, so neither
     is_brick nor kill changes.
     """
-    low = dual & strip
     lows = 0
     for a in atoms:
-        lows |= low << a
-    mins = low & ~lows
+        lows |= dual << a
+    mins = dual & ~lows
     if mins >> (headroom + 1):
         return False, -1
     is_brick = True

@@ -80,9 +80,7 @@ class NumericalSemigroup:
         if gens[-1] > INT64_MAX:
             raise IntegerOverflowError(
                 f"generator {gens[-1]} exceeds the signed 64-bit range")
-        g = gens[0]
-        for a in gens[1:]:
-            g = math.gcd(g, a)
+        g = math.gcd(*gens)
         if g != 1:
             raise NonCoprimeError(
                 f"generators have gcd {g}; the complement would be infinite")

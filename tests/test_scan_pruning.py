@@ -1,8 +1,9 @@
 """The brick kernel and its pruning: the criterion against brick_check and
 the oracles, exactness of the pruned scan against the unpruned reference
 scan at every ideal size, the lemma the pruning rests on, and re-validation
-of every hit."""
+of every hit by checks that python -O keeps."""
 
+import ast
 import itertools
 import math
 import os
@@ -128,28 +129,41 @@ def test_pruning_at_cap_five(monkeypatch):
     assert len(calls) <= candidates // 10
 
 
-def kernel_args(S, gens, smask=None):
-    # the arguments _scan_semigroup passes _bad_generators for the candidate
-    # gens = (0, *offsets), up to the order of the differences: the last is
-    # the headroom F - max I.  smask, if given, is the member bitset that
-    # the kernel reads, built once for many candidates
-    frob, m = S.frobenius, S.multiplicity
-    if smask is None:
-        smask = S.element_mask(frob + m + 2 * (frob - m))
-    dual = smask
+def candidate_args(S, gens, smask, dual):
+    # _bad_generators' arguments but wanted for the candidate
+    # gens = (0, *offsets), up to the order of the differences, from the
+    # member bitset smask and the dual of (0,): the last is the headroom
+    # F - max I
     for z in gens[1:]:
         dual &= smask >> z
     diffs = tuple(q - p for p, q in itertools.combinations(gens, 2))
-    return (dual, smask, (2 << (frob + m)) - 1, S.min_gens, diffs,
-            frob - gens[-1])
+    return dual, smask, S.min_gens, diffs, S.frobenius - gens[-1]
+
+
+def kernel_args(S, gens, smask=None):
+    # the arguments _walk_candidates passes: a dual masked to [0, F + m] at
+    # the root, over a member bitset through F + m + top, top = F - m.
+    # smask, if given, is that member bitset, built once for many candidates
+    frob, m = S.frobenius, S.multiplicity
+    if smask is None:
+        smask = S.element_mask(frob + m + (frob - m))
+    return candidate_args(S, gens, smask, smask & ((2 << (frob + m)) - 1))
+
+
+def wide_args(S, gens):
+    # the window a caller needs with the headroom test off: an unmasked
+    # dual over a member bitset through F + m + 2 * top
+    frob, m = S.frobenius, S.multiplicity
+    smask = S.element_mask(frob + m + 2 * (frob - m))
+    return candidate_args(S, gens, smask, smask)
 
 
 def pair_args(S, gens):
-    # kernel_args with the headroom test off (headroom F + m lies above
-    # every minimal generator of the dual), for a wanted mask that holds
-    # offsets at or below max I: the kill is then the bad pairs' masks, not
-    # the -1 of the headroom test
-    return kernel_args(S, gens)[:5] + (S.frobenius + S.multiplicity,)
+    # wide_args with the headroom test off (headroom F + m lies above every
+    # minimal generator of the dual), for a wanted mask that holds offsets
+    # at or below max I: the kill is then the bad pairs' masks, not the -1
+    # of the headroom test.  It needs the wide window: its pairs reach past F
+    return wide_args(S, gens)[:4] + (S.frobenius + S.multiplicity,)
 
 
 @pytest.mark.parametrize("config", [
@@ -168,9 +182,9 @@ def test_every_skipped_candidate_has_a_bad_pair(monkeypatch, config):
     kernel = brickhunt._bad_generators
     tested = set()
 
-    def recording(dual, smask, strip, atoms, diffs, headroom, wanted):
+    def recording(dual, smask, atoms, diffs, headroom, wanted):
         tested.add((dual, frozenset(diffs)))
-        return kernel(dual, smask, strip, atoms, diffs, headroom, wanted)
+        return kernel(dual, smask, atoms, diffs, headroom, wanted)
 
     monkeypatch.setattr(brickhunt, "_bad_generators", recording)
     skipped = 0
@@ -194,15 +208,18 @@ def test_every_skipped_candidate_has_a_bad_pair(monkeypatch, config):
                         return True
             return False
 
+        walked = set()
         for ideal in enumerate_ideals(S, config):
             gens = ideal.min_gens
-            if len(gens) < 3:
-                continue
-            dual, _, _, _, diffs, _ = kernel_args(S, gens)
-            if (dual, frozenset(diffs)) in tested:
+            dual, _, _, diffs, _ = kernel_args(S, gens)
+            walked.add((dual, frozenset(diffs)))
+            if len(gens) < 3 or (dual, frozenset(diffs)) in tested:
                 continue
             skipped += 1
             assert certified(gens), (S.min_gens, gens)
+        # the walk passes every candidate it tests the dual that kernel_args
+        # builds for it
+        assert tested <= walked, S.min_gens
     assert skipped > 0
 
 
@@ -219,7 +236,7 @@ def test_headroom_rules_out_the_subtree(config):
     high = 0
     for S in enumerate_semigroups(config):
         frob, top = S.frobenius, S.frobenius - S.multiplicity
-        smask = S.element_mask(frob + S.multiplicity + 2 * top)
+        smask = S.element_mask(frob + S.multiplicity + top)
         gapmask = ~smask & ((1 << (top + 1)) - 1)
         flagged = set()
         for ideal in enumerate_ideals(S, config):
@@ -299,27 +316,33 @@ def test_kill_masks_read_the_wide_window():
     # with the headroom test off, the kill masks read the member bitset up
     # to F + m + 2 * (F - m): cut at F + m + (F - m), it loses kill bits of
     # some (0, g) on t4/gen<=20, and never gains one.  With it on, every
-    # bad pair the masks read ends at or below F, so the cut loses none
+    # bad pair the masks read ends at or below F, so the walk's window (a
+    # dual masked to [0, F + m], a member bitset through F + m + (F - m))
+    # decides every (0, g) and (0, g, x) as the wide, unmasked one does,
+    # kill included
     cfg = SearchConfig(t_min=4, t_max=4, gen_max=20)
     lost = 0
     for S in enumerate_semigroups(cfg):
         frob, m = S.frobenius, S.multiplicity
         top = frob - m
-        gapmask = ~S.element_mask(top) & ((1 << (top + 1)) - 1)
+        smask = S.element_mask(frob + m + top)
+        gapmask = ~smask & ((1 << (top + 1)) - 1)
         for g in _bits(gapmask):
             wanted = gapmask & (gapmask << g)
-            for make_args in (pair_args, kernel_args):
-                dual, smask, strip, atoms, diffs, room = make_args(S, (0, g))
-                _, kill = _bad_generators(dual, smask, strip, atoms, diffs,
-                                          room, wanted)
-                cut = smask & ((2 << (frob + m + top)) - 1)
-                _, short = _bad_generators(cut & (cut >> g), cut, strip,
-                                           atoms, diffs, room, wanted)
-                assert short & ~kill == 0
-                if make_args is pair_args:
-                    lost += short != kill
-                else:
-                    assert short == kill, (S.min_gens, g)
+            dual, wide, atoms, diffs, room = pair_args(S, (0, g))
+            _, kill = _bad_generators(dual, wide, atoms, diffs, room, wanted)
+            cut = wide & ((2 << (frob + m + top)) - 1)
+            _, short = _bad_generators(cut & (cut >> g), cut, atoms, diffs,
+                                       room, wanted)
+            assert short & ~kill == 0
+            lost += short != kill
+            # x = 0 stands for (0, g) itself, whose children are wanted
+            for x in (0, *_bits(wanted)):
+                gens = (0, g, x) if x else (0, g)
+                for want in (0, wanted & (gapmask << x)):
+                    got = _bad_generators(*kernel_args(S, gens, smask), want)
+                    assert got == _bad_generators(*wide_args(S, gens), want), \
+                        (S.min_gens, gens)
     assert lost > 0
 
 
@@ -327,11 +350,9 @@ def test_kill_masks_read_the_wide_window():
 
 @pytest.mark.parametrize("t,fake", [
     # every ideal, then only the leaves, then only the (0, g) tests
-    (3, lambda dual, smask, strip, atoms, diffs, headroom, wanted:
-        (True, 0)),
-    (4, lambda dual, smask, strip, atoms, diffs, headroom, wanted:
-        (not wanted, 0)),
-    (4, lambda dual, smask, strip, atoms, diffs, headroom, wanted:
+    (3, lambda dual, smask, atoms, diffs, headroom, wanted: (True, 0)),
+    (4, lambda dual, smask, atoms, diffs, headroom, wanted: (not wanted, 0)),
+    (4, lambda dual, smask, atoms, diffs, headroom, wanted:
         (len(diffs) == 1, 0)),
 ], ids=["t3-all", "t4-leaves", "t4-roots"])
 def test_false_kernel_hit_raises(monkeypatch, t, fake):
@@ -360,6 +381,18 @@ def test_false_kernel_hit_raises_under_optimize():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 7, proc.stderr
     assert "brick_check rejects: semigroup (" in proc.stdout
+
+
+def test_no_check_lives_in_an_assert():
+    # python -O strips assert statements, so every check of the package is
+    # an explicit raise
+    modules = sorted((SRC / "sgbricks").glob("*.py"))
+    assert modules
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert at lines {lines}"
 
 
 # ---------------------------------------------------------------- the lemma
