@@ -23,12 +23,13 @@ independent unpruned scan over whole spaces.
 Every hit is re-validated through ideal.brick_check; a disagreement raises
 RuntimeError, an explicit check that python -O keeps.
 
-The search cuts the semigroup walk into chunks of 512 generator tuples and
-fans them out to at most MAX_WORKERS worker processes, which construct and
-scan each semigroup.  The chunks are contiguous runs of the walk and come
-back in order, and each scan reports its hits in pre-order, so the output
-is ordered by (semigroup, ideal) generators with no final sort, whatever
-the scheduling.
+The search maps one scan per generator tuple of the semigroup walk, which
+constructs the semigroup and returns its hits in pre-order of its candidate
+tree.  At one worker that is a plain map; above it, Pool.imap hands at most
+MAX_WORKERS worker processes chunks of 512 tuples (its chunksize) and
+yields the results in input order.  So the output is ordered by
+(semigroup, ideal) generators with no final sort, whatever the
+scheduling.
 
 One record schema serves both report formats and the read-back: each field
 of BrickReport, its key in the JSON lines, its column in TABLE_HEADER and its
@@ -40,7 +41,6 @@ its kind, so a malformed record raises InvalidInputError naming its line.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from collections import Counter
@@ -164,10 +164,8 @@ def enumerate_ideals(S: NumericalSemigroup,
     (test_offset_bound_loses_no_brick) runs brick_check on every minimal
     candidate with an offset in that band, over five spaces at the default
     cap and at cap 4, and finds none."""
-    found: list[tuple[int, ...]] = []
-    _walk_candidates(S, config.cap_for(len(S.min_gens)),
-                     lambda *_: (True, 0), found.append)
-    for gens in found:
+    for gens in _walk_candidates(S, config.cap_for(len(S.min_gens)),
+                                 lambda *_: (True, 0)):
         yield RelativeIdeal._trusted(S, gens)
 
 
@@ -176,12 +174,12 @@ def search(config: SearchConfig) -> list[BrickReport]:
     collect the bricks, ordered by (s_gens, i_gens) regardless of worker
     count."""
     tuples = _minimal_tuples(config)
-    chunks = iter(lambda: tuple(itertools.islice(tuples, 512)), ())
-    scan = functools.partial(_scan_chunk, config=config)
+    scan = functools.partial(_scan_tuple, config=config)
     if config.worker_count <= 1:
-        return [r for chunk in map(scan, chunks) for r in chunk]
+        return [r for hits in map(scan, tuples) for r in hits]
     with Pool(config.worker_count) as pool:
-        return [r for chunk in pool.imap(scan, chunks) for r in chunk]
+        return [r for hits in pool.imap(scan, tuples, chunksize=512)
+                for r in hits]
 
 
 def lift(S: NumericalSemigroup, I: RelativeIdeal) -> LiftResult:
@@ -240,20 +238,20 @@ def _minimal_tuples(config: SearchConfig) -> Iterator[tuple[int, ...]]:
     return extend((), 1)
 
 
-def _scan_chunk(tuples: tuple[tuple[int, ...], ...],
+def _scan_tuple(gens: tuple[int, ...],
                 config: SearchConfig) -> list[BrickReport]:
-    return [r for gens in tuples
-            for r in _scan_semigroup(NumericalSemigroup(gens), config)]
+    return _scan_semigroup(NumericalSemigroup(gens), config)
 
 
 def _scan_semigroup(S: NumericalSemigroup,
                     config: SearchConfig) -> list[BrickReport]:
-    """Scan all candidate ideals of one semigroup: the walk of the
-    candidate tree, pruned by _bad_generators.  Every hit is re-validated
-    through ideal.brick_check before being reported."""
+    """The reports of the bricks of one semigroup, in pre-order of the
+    candidate tree: the hits of _walk_candidates under _bad_generators,
+    each re-validated through ideal.brick_check and kept when it passes
+    the perfect_only filter."""
     out: list[BrickReport] = []
-
-    def report(gens: tuple[int, ...]) -> None:
+    for gens in _walk_candidates(S, config.cap_for(len(S.min_gens)),
+                                 _bad_generators):
         ideal = RelativeIdeal._trusted(S, gens)
         check = brick_check(S, ideal)
         if not check.is_brick:
@@ -262,15 +260,14 @@ def _scan_semigroup(S: NumericalSemigroup,
                 f"semigroup {S.min_gens}, ideal {ideal.min_gens}")
         if check.is_perfect or not config.perfect_only:
             out.append(BrickReport.from_check(S, ideal, check))
-
-    _walk_candidates(S, config.cap_for(len(S.min_gens)), _bad_generators,
-                     report)
     return out
 
 
-def _walk_candidates(S: NumericalSemigroup, cap: int, test, hit) -> None:
-    """Walk the candidate ideals of one semigroup with at most cap
-    generators, calling hit(gens) on each one that test accepts.
+def _walk_candidates(S: NumericalSemigroup, cap: int,
+                     test) -> list[tuple[int, ...]]:
+    """The generator tuples of the candidate ideals of one semigroup with
+    at most cap generators that test accepts, as a list in pre-order; empty
+    when frobenius - m < 1, where the tree has no node but its root.
 
     Candidates form a tree rooted at (0,): a child appends to (0, *offsets)
     an offset x whose difference with each generator is a gap, so the
@@ -279,8 +276,8 @@ def _walk_candidates(S: NumericalSemigroup, cap: int, test, hit) -> None:
     _bad_generators: it reads the node's dual bitset, the positive
     differences of its generators, its headroom frobenius - x, x its newest
     and largest offset, and the bitset wanted of the offsets it may rule
-    out, and returns (accepted, kill); a test that returns (True, 0) visits
-    every candidate.
+    out, and returns (accepted, kill); under a test that returns (True, 0)
+    the list holds every candidate.
 
     Every inner node is tested, and its kill drops offsets from its
     children: a node whose children are leaves wants their offsets, and a
@@ -294,12 +291,13 @@ def _walk_candidates(S: NumericalSemigroup, cap: int, test, hit) -> None:
     frob, m = S.frobenius, S.multiplicity
     top = frob - m
     if top < 1:
-        return
+        return []
     # the window of _bad_generators: the root's dual is masked to
     # [0, F + m] once, and a child's dual reads smask at most top above it
     smask = S.element_mask(frob + m + top)
     gapmask = ~smask & ((1 << (top + 1)) - 1)
     atoms = S.min_gens
+    found: list[tuple[int, ...]] = []
 
     def walk(gens, diffs, cand, dual):
         # the children gens + (x,), x in cand, of a node with dual bitset
@@ -309,7 +307,7 @@ def _walk_candidates(S: NumericalSemigroup, cap: int, test, hit) -> None:
             for x in _bits(cand):
                 if test(dual & (smask >> x), smask, atoms,
                         diffs + tuple(map(x.__sub__, gens)), frob - x, 0)[0]:
-                    hit(gens + (x,))
+                    found.append(gens + (x,))
             return
         last = len(gens) + 2 == cap  # the children's children are leaves
         for x in _bits(cand):
@@ -319,13 +317,14 @@ def _walk_candidates(S: NumericalSemigroup, cap: int, test, hit) -> None:
             accepted, kill = test(sub, smask, atoms, child, frob - x,
                                   below if last else 0)
             if accepted:
-                hit(gens + (x,))
+                found.append(gens + (x,))
             below &= ~kill
             if below:
                 walk(gens + (x,), child, below, sub)
 
     walk((0,), (), gapmask, smask & ((2 << (frob + m)) - 1))
     del walk  # frees the semigroup now: the recursive closure is a cycle
+    return found
 
 
 def _bad_generators(dual, smask, atoms, diffs, headroom, wanted):
@@ -462,26 +461,16 @@ def _require_format(fmt: str) -> None:
         raise InvalidInputError(f"unknown report format {fmt!r}")
 
 
-def _render(report: BrickReport, fmt: str) -> str:
-    # one record in a format already checked by the caller
-    if fmt == "line":
-        return json.dumps({key: getattr(report, name)
-                           for name, key, _, _ in _SCHEMA})
-    return ";".join(
-        json.dumps(getattr(report, name), separators=(",", ":")).strip("[]")
-        for name, *_ in _SCHEMA)
-
-
-def render_report(report: BrickReport, fmt: str = "line") -> str:
-    _require_format(fmt)
-    return _render(report, fmt)
-
-
 def render_reports(reports: Iterable[BrickReport], fmt: str = "line") -> str:
     _require_format(fmt)
-    lines = [_render(r, fmt) for r in reports]
-    if fmt == "table":
-        lines.insert(0, TABLE_HEADER)
+    if fmt == "line":
+        lines = [json.dumps({key: getattr(r, name)
+                             for name, key, _, _ in _SCHEMA})
+                 for r in reports]
+    else:
+        lines = [TABLE_HEADER] + [";".join(
+            json.dumps(getattr(r, name), separators=(",", ":")).strip("[]")
+            for name, *_ in _SCHEMA) for r in reports]
     return "".join(line + "\n" for line in lines)
 
 

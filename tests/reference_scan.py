@@ -8,14 +8,9 @@ production scan to return exactly its reports.
 
 from __future__ import annotations
 
-import logging
-
-from sgbricks.brickhunt import BrickReport, _bits
-from sgbricks.errors import IntegerOverflowError
-from sgbricks.ideal import RelativeIdeal, brick_check
+from sgbricks.brickhunt import BrickReport
+from sgbricks.ideal import RelativeIdeal, _bits, brick_check
 from sgbricks.sgcore import NumericalSemigroup
-
-log = logging.getLogger(__name__)
 
 
 def reference_scan_semigroup(S: NumericalSemigroup,
@@ -31,7 +26,7 @@ def reference_scan_semigroup(S: NumericalSemigroup,
     out: list[BrickReport] = []
     frob = S.frobenius
     top = frob - S.multiplicity
-    if frob < 0 or top < 1:
+    if top < 1:
         return out
     cap = config.cap_for(len(S.min_gens))
     limit = 2 * frob + 2 + top
@@ -42,12 +37,7 @@ def reference_scan_semigroup(S: NumericalSemigroup,
 
     def report(offsets: tuple[int, ...]) -> None:
         ideal = RelativeIdeal._trusted(S, (0, *offsets))
-        try:
-            check = brick_check(S, ideal)
-        except IntegerOverflowError as exc:
-            log.warning("skipping pair %s / %s: %s",
-                        S.min_gens, ideal.min_gens, exc)
-            return
+        check = brick_check(S, ideal)
         assert check.is_brick
         if check.is_perfect or not config.perfect_only:
             out.append(BrickReport.from_check(S, ideal, check))

@@ -177,6 +177,14 @@ def test_enumerate_ideals_bounds_and_minimality():
             assert listed == []
 
 
+def test_walk_candidates_empty_without_offsets():
+    # F - m < 1 leaves no offset: <3, 4, 5> has F = 2, and <2, 3> F = 1
+    for gens in ([3, 4, 5], [2, 3]):
+        S = NumericalSemigroup(gens)
+        assert S.frobenius - S.multiplicity < 1
+        assert brickhunt._walk_candidates(S, 4, lambda *_: (True, 0)) == []
+
+
 def test_candidate_duals_are_never_principal():
     # _bad_generators does not count the dual's generators; its docstring
     # proves that no candidate's dual is principal
@@ -451,10 +459,9 @@ def test_render_reports_checks_the_format_once(monkeypatch):
         assert checks == [fmt]
         if fmt == "table":
             assert lines.pop(0) == TABLE_HEADER
-        # each record renders as render_report renders it alone
-        assert lines == [brickhunt.render_report(r, fmt) for r in SAMPLE]
-    with pytest.raises(InvalidInputError, match="unknown report format 'csv'"):
-        brickhunt.render_report(SAMPLE[0], "csv")
+        # each record renders as it renders alone
+        assert lines == [render_reports([r], fmt).splitlines()[-1]
+                         for r in SAMPLE]
 
 
 def test_summarize():

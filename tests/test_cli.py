@@ -1,10 +1,16 @@
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
 from sgbricks import brickhunt, cli
+from sgbricks.brickhunt import SearchConfig
 from sgbricks.cli import run
 from sgbricks.errors import ResourceLimitError
+
+GOLDEN = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())
 
 
 def invoke(capsys, *args):
@@ -188,6 +194,45 @@ def test_search_workers_same_output(capsys):
                            "--gen-max", "22", "--workers", "3")
     assert code == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("space, summary, sha256", [
+    # cap 4, past the default cap 3 of t = 4
+    ({"t_min": 4, "t_max": 4, "gen_max": 20, "mu_cap": 4},
+     "bricks: 2 pairs, 1 distinct semigroups, 0 perfect",
+     "4f770d7e84604f8c2bb110ac1d25f89f19c3b862e49dd8bf5d4bb63b929a2a52"),
+    # the default cap 2 of t = 2 and 3
+    ({"t_min": 2, "t_max": 3, "gen_max": 30},
+     "bricks: 48 pairs, 25 distinct semigroups, 0 perfect",
+     "8e57319a0b3eb0a5c9531240fceb891e96dcc7e721d25115e48d0e7e498aeaf3"),
+    # t = 6 at its default cap 4, where the nodes (0, g) want no kill bits
+    # and only the headroom test prunes their subtrees
+    ({"t_min": 6, "t_max": 6, "gen_max": 22},
+     "bricks: 5 pairs, 3 distinct semigroups, 3 perfect",
+     "e2d93af009fbe88a189d6175f42dc63667633f925ac75caafdfed00bc0d2036d"),
+    # cap 5, the only pinned depth where a headroom kill of -1 at a node
+    # (0, g) drops two inner levels of its subtree at once
+    ({"t_min": 4, "t_max": 4, "gen_max": 21, "mu_cap": 5},
+     "bricks: 10 pairs, 6 distinct semigroups, 2 perfect",
+     "9bfd29f29455935b347d4d7e057a0039da0e8c822eeb59eb9aa2996e773fd255"),
+    # the benchmark's hunt-t4 space against its golden report
+    ({"t_min": 4, "t_max": 4, "gen_max": 25},
+     "bricks: 31 pairs, 24 distinct semigroups, 6 perfect",
+     GOLDEN["spaces"]["t4-4/gen25"]["sha256"]),
+], ids=["t4-20-cap4", "t2-3-30", "t6-22", "t4-21-cap5", "t4-25"])
+def test_pinned_search_outputs(capsys, space, summary, sha256, workers):
+    # the report bytes and the summary recorded for each space; every space
+    # holds more than 512 semigroups, so the 2-worker search takes more
+    # than one chunk back from the pool
+    assert sum(1 for _ in brickhunt._minimal_tuples(SearchConfig(**space))) > 512
+    argv = ["search", "--workers", str(workers)]
+    for name, value in space.items():
+        argv += ["--" + name.replace("_", "-"), str(value)]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 0
+    assert err.splitlines()[0] == summary
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_search_empty_space(capsys):
