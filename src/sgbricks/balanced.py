@@ -191,7 +191,7 @@ def classify(gens: Sequence[int]) -> Classification:
             NOT_BALANCED, reason="not a minimal generating set")
 
     profile = _build_profile(a)
-    kind = UNITARY if profile.common_quotient == 1 else BALANCED
+    kind = UNITARY if profile.is_unitary else BALANCED
     return Classification(kind, profile=profile)
 
 
@@ -271,9 +271,8 @@ def frobenius_of_triple(profile: BalancedProfile) -> int:
 
 def frobenius_of_quad(profile: BalancedProfile) -> int:
     """Closed form for the Frobenius number of the unitary semigroup itself:
-    the triple's value minus (q1 - 1) * a1."""
-    if not profile.is_unitary:
-        raise NotUnitaryError("the closed form is proved for unitary quadruples")
+    the triple's value minus (q1 - 1) * a1.  frobenius_of_triple raises
+    NotUnitaryError for a profile that is not unitary."""
     return frobenius_of_triple(profile) - (profile.q1 - 1) * profile.a1
 
 

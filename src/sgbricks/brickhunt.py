@@ -23,12 +23,12 @@ independent unpruned scan over whole spaces.
 Every hit is re-validated through ideal.brick_check; a disagreement raises
 RuntimeError, an explicit check that python -O keeps.
 
-The search maps one scan per generator tuple of the semigroup walk, which
-constructs the semigroup and returns its hits in pre-order of its candidate
-tree.  At one worker that is a plain map; above it, Pool.imap hands at most
-MAX_WORKERS worker processes chunks of 512 tuples (its chunksize) and
-yields the results in input order.  So the output is ordered by
-(semigroup, ideal) generators with no final sort, whatever the
+The search maps _scan_semigroup over the generator tuples of the semigroup
+walk: each call constructs its semigroup and returns its hits in pre-order
+of its candidate tree.  At one worker that is a plain map; above it,
+Pool.imap hands at most MAX_WORKERS worker processes chunks of 512 tuples
+(its chunksize) and yields the results in input order.  So the output is
+ordered by (semigroup, ideal) generators with no final sort, whatever the
 scheduling.
 
 One record schema serves both report formats and the read-back: each field
@@ -52,7 +52,6 @@ from typing import IO, Iterable, Iterator
 from .errors import (
     InvalidInputError,
     NotTwoByTwoError,
-    ParentMismatchError,
     ResourceLimitError,
     ZeroNotGeneratorError,
 )
@@ -174,7 +173,7 @@ def search(config: SearchConfig) -> list[BrickReport]:
     collect the bricks, ordered by (s_gens, i_gens) regardless of worker
     count."""
     tuples = _minimal_tuples(config)
-    scan = functools.partial(_scan_tuple, config=config)
+    scan = functools.partial(_scan_semigroup, config=config)
     if config.worker_count <= 1:
         return [r for hits in map(scan, tuples) for r in hits]
     with Pool(config.worker_count) as pool:
@@ -192,12 +191,10 @@ def lift(S: NumericalSemigroup, I: RelativeIdeal) -> LiftResult:
     numerical semigroup at all and the construction raises NonCoprimeError;
     such bricks exist (e.g. (14, 30, 35, 45) with ideal (0, 3)).
     """
-    if I.parent != S:
-        raise ParentMismatchError("ideal does not belong to this semigroup")
+    base = brick_check(S, I)  # raises ParentMismatchError for a foreign I
     if I.min_gens[0] != 0:
         raise ZeroNotGeneratorError(
             f"the ideal's least generator is {I.min_gens[0]}, not 0")
-    base = brick_check(S, I)
     if not (base.mu_ideal == 2 and base.mu_dual == 2 and base.is_brick):
         raise NotTwoByTwoError(
             f"(S, I) is {base.mu_ideal}x{base.mu_dual} with mu-sum "
@@ -238,21 +235,17 @@ def _minimal_tuples(config: SearchConfig) -> Iterator[tuple[int, ...]]:
     return extend((), 1)
 
 
-def _scan_tuple(gens: tuple[int, ...],
-                config: SearchConfig) -> list[BrickReport]:
-    return _scan_semigroup(NumericalSemigroup(gens), config)
-
-
-def _scan_semigroup(S: NumericalSemigroup,
+def _scan_semigroup(gens: tuple[int, ...],
                     config: SearchConfig) -> list[BrickReport]:
-    """The reports of the bricks of one semigroup, in pre-order of the
-    candidate tree: the hits of _walk_candidates under _bad_generators,
-    each re-validated through ideal.brick_check and kept when it passes
-    the perfect_only filter."""
+    """The reports of the bricks of the semigroup with minimal generators
+    gens, in pre-order of the candidate tree: the hits of _walk_candidates
+    under _bad_generators, each re-validated through ideal.brick_check and
+    kept when it passes the perfect_only filter."""
+    S = NumericalSemigroup(gens)
     out: list[BrickReport] = []
-    for gens in _walk_candidates(S, config.cap_for(len(S.min_gens)),
-                                 _bad_generators):
-        ideal = RelativeIdeal._trusted(S, gens)
+    for i_gens in _walk_candidates(S, config.cap_for(len(S.min_gens)),
+                                   _bad_generators):
+        ideal = RelativeIdeal._trusted(S, i_gens)
         check = brick_check(S, ideal)
         if not check.is_brick:
             raise RuntimeError(

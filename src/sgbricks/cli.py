@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Commands: analyze, dual, brick, classify, family, lift, search.  Commands
-taking a semigroup and an ideal separate the two integer lists with `--`.
+taking a semigroup and an ideal separate the two integer lists with `--`;
+dual and brick read the dual, the sum and their mu values off one
+brick_check.
 family and search share one option parser; search's flags map onto
 SearchConfig fields, so the search defaults live only in SearchConfig.
 Exit status: 0 success, 2 usage error, 3 domain validation error, 4 I/O
@@ -23,7 +25,7 @@ from .balanced import (
 from .brickhunt import (REPORT_FORMATS, SearchConfig, lift, search,
                         summarize, write_reports)
 from .errors import DomainError
-from .ideal import RelativeIdeal, brick_check
+from .ideal import BrickCheck, RelativeIdeal, brick_check
 from .sgcore import NumericalSemigroup
 
 USAGE = """usage: sgbricks <command> [arguments]
@@ -101,12 +103,16 @@ def _int_list(tokens: list[str], what: str) -> list[int]:
     return [_int(t) for t in tokens]
 
 
-def _split_pair(tokens: list[str]) -> tuple[list[int], list[int]]:
+def _split_pair(tokens: list[str]) -> tuple[NumericalSemigroup, RelativeIdeal]:
+    # both integer lists are parsed before the semigroup is built, so a
+    # usage error comes before any domain error
     if "--" not in tokens:
         raise UsageError("expected `--` between semigroup and ideal generators")
     cut = tokens.index("--")
-    return (_int_list(tokens[:cut], "semigroup generators"),
-            _int_list(tokens[cut + 1:], "ideal generators"))
+    sgens = _int_list(tokens[:cut], "semigroup generators")
+    igens = _int_list(tokens[cut + 1:], "ideal generators")
+    S = NumericalSemigroup(sgens)
+    return S, RelativeIdeal(S, igens)
 
 
 def _options(args: list[str], flags: dict[str, str],
@@ -137,6 +143,20 @@ def _fmt_ideal(gens) -> str:
     return "(" + ", ".join(map(str, gens)) + ")"
 
 
+def _print_pair(S: NumericalSemigroup, I: RelativeIdeal,
+                chk: BrickCheck) -> None:
+    print(f"S = {_fmt_sg(S.min_gens)}")
+    print(f"I = {_fmt_ideal(I.min_gens)}")
+    print(f"S - I = {_fmt_ideal(chk.dual_ideal.min_gens)}")
+    print(f"I + (S - I) = {_fmt_ideal(chk.sum_ideal.min_gens)}")
+
+
+def _print_verdict(chk: BrickCheck) -> None:
+    print(f"dimensions: {chk.mu_ideal} x {chk.mu_dual}")
+    print(f"brick: {'yes' if chk.is_brick else 'no'}")
+    print(f"perfect: {'yes' if chk.is_perfect else 'no'}")
+
+
 # ---------------------------------------------------------------- commands
 
 def _cmd_analyze(args: list[str]) -> None:
@@ -150,30 +170,18 @@ def _cmd_analyze(args: list[str]) -> None:
 
 
 def _cmd_dual(args: list[str]) -> None:
-    sgens, igens = _split_pair(args)
-    S = NumericalSemigroup(sgens)
-    I = RelativeIdeal(S, igens)
-    D = I.dual()
-    K = I + D
-    print(f"S = {_fmt_sg(S.min_gens)}")
-    print(f"I = {_fmt_ideal(I.min_gens)}")
-    print(f"S - I = {_fmt_ideal(D.min_gens)}")
-    print(f"I + (S - I) = {_fmt_ideal(K.min_gens)}")
-    print(f"mu(I) = {I.mu}, mu(S - I) = {D.mu}, mu(I + (S - I)) = {K.mu}")
+    S, I = _split_pair(args)
+    chk = brick_check(S, I)
+    _print_pair(S, I, chk)
+    print(f"mu(I) = {chk.mu_ideal}, mu(S - I) = {chk.mu_dual}, "
+          f"mu(I + (S - I)) = {chk.mu_sum}")
 
 
 def _cmd_brick(args: list[str]) -> None:
-    sgens, igens = _split_pair(args)
-    S = NumericalSemigroup(sgens)
-    I = RelativeIdeal(S, igens)
+    S, I = _split_pair(args)
     chk = brick_check(S, I)
-    print(f"S = {_fmt_sg(S.min_gens)}")
-    print(f"I = {_fmt_ideal(I.min_gens)}")
-    print(f"S - I = {_fmt_ideal(chk.dual_ideal.min_gens)}")
-    print(f"I + (S - I) = {_fmt_ideal(chk.sum_ideal.min_gens)}")
-    print(f"dimensions: {chk.mu_ideal} x {chk.mu_dual}")
-    print(f"brick: {'yes' if chk.is_brick else 'no'}")
-    print(f"perfect: {'yes' if chk.is_perfect else 'no'}")
+    _print_pair(S, I, chk)
+    _print_verdict(chk)
 
 
 def _cmd_classify(args: list[str]) -> None:
@@ -218,18 +226,13 @@ def _cmd_family(args: list[str]) -> None:
 
 
 def _cmd_lift(args: list[str]) -> None:
-    sgens, igens = _split_pair(args)
-    S = NumericalSemigroup(sgens)
-    I = RelativeIdeal(S, igens)
+    S, I = _split_pair(args)
     res = lift(S, I)
-    chk = res.check
     print(f"S = {_fmt_sg(S.min_gens)}")
     print(f"I = {_fmt_ideal(I.min_gens)}")
     print(f"lifted S = {_fmt_sg(res.quad)}")
     print(f"lifted I = {_fmt_ideal(res.ideal_gens)}")
-    print(f"dimensions: {chk.mu_ideal} x {chk.mu_dual}")
-    print(f"brick: {'yes' if chk.is_brick else 'no'}")
-    print(f"perfect: {'yes' if chk.is_perfect else 'no'}")
+    _print_verdict(res.check)
 
 
 def _cmd_search(args: list[str]) -> None:

@@ -42,8 +42,8 @@ def reference_scan_semigroup(S: NumericalSemigroup,
         if check.is_perfect or not config.perfect_only:
             out.append(BrickReport.from_check(S, ideal, check))
 
-    def deeper(offsets: tuple[int, ...], cand: int, emask: int) -> None:
-        # generic extension for mu caps beyond 3
+    def walk(offsets: tuple[int, ...], cand: int, emask: int) -> None:
+        # the candidates (0, *offsets, x) for x in cand, and their subtrees
         for x in _bits(cand):
             ext = offsets + (x,)
             ds = [b - a for a in (0, *ext) for b in ext if b > a]
@@ -51,21 +51,9 @@ def reference_scan_semigroup(S: NumericalSemigroup,
             if _brick_dual_gens(sub, smask, tuple(set(ds)), table, m) is not None:
                 report(ext)
             if len(ext) + 1 < cap:
-                deeper(ext, cand & (gapmask << x), sub)
+                walk(ext, cand & (gapmask << x), sub)
 
-    for u in _bits(gapmask):
-        emask_u = smask & (smask >> u)
-        if _brick_dual_gens(emask_u, smask, (u,), table, m) is not None:
-            report((u,))
-        if cap >= 3:
-            cand_u = gapmask & (gapmask << u)
-            for v in _bits(cand_u):
-                emask_uv = emask_u & (smask >> v)
-                if _brick_dual_gens(emask_uv, smask, (u, v, v - u),
-                                    table, m) is not None:
-                    report((u, v))
-                if cap >= 4:
-                    deeper((u, v), cand_u & (gapmask << v), emask_uv)
+    walk((), gapmask, smask)
     return out
 
 

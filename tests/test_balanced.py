@@ -289,9 +289,9 @@ def test_frobenius_formula_examples():
 
 def test_frobenius_requires_unitary():
     p = classify([12, 15, 25, 28]).profile
-    with pytest.raises(NotUnitaryError):
+    with pytest.raises(NotUnitaryError, match="proved for unitary quadruples"):
         frobenius_of_triple(p)
-    with pytest.raises(NotUnitaryError):
+    with pytest.raises(NotUnitaryError, match="proved for unitary quadruples"):
         frobenius_of_quad(p)
 
 

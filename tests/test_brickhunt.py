@@ -297,8 +297,8 @@ def test_search_visits_exactly_the_enumerated_semigroups(monkeypatch):
     cfg = SearchConfig(t_min=2, t_max=5, gen_max=22)
     visited = []
 
-    def recording(S, config):
-        visited.append(S.min_gens)
+    def recording(gens, config):
+        visited.append(gens)
         return []
 
     monkeypatch.setattr(brickhunt, "_scan_semigroup", recording)
@@ -318,7 +318,8 @@ def test_scan_matches_bare_brick_check_loop():
             if math.gcd(*gens) == 1:
                 break
         S = NumericalSemigroup(gens)
-        fast = sorted(_scan_semigroup(S, cfg), key=lambda r: r.i_gens)
+        fast = sorted(_scan_semigroup(S.min_gens, cfg),
+                      key=lambda r: r.i_gens)
         slow = []
         for I in enumerate_ideals(S, cfg):
             chk = brick_check(S, I)
@@ -387,7 +388,8 @@ def test_lift_rejects_bad_input():
     T = NumericalSemigroup([21, 24, 38, 39])
     with pytest.raises(NotTwoByTwoError):
         lift(T, RelativeIdeal(T, [0, 4, 6]))  # 3x3 brick
-    with pytest.raises(ParentMismatchError):
+    with pytest.raises(ParentMismatchError,
+                       match="ideal does not belong to this semigroup"):
         lift(S, RelativeIdeal(T, [0, 4]))
 
 

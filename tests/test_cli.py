@@ -8,6 +8,8 @@ from sgbricks import brickhunt, cli
 from sgbricks.brickhunt import SearchConfig
 from sgbricks.cli import run
 from sgbricks.errors import ResourceLimitError
+from sgbricks.ideal import RelativeIdeal
+from sgbricks.sgcore import NumericalSemigroup
 
 GOLDEN = json.loads(
     (Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())
@@ -65,6 +67,37 @@ def test_brick_perfect_example(capsys):
         "brick: yes\n"
         "perfect: yes\n"
     )
+
+
+@pytest.mark.parametrize("command", ["dual", "brick"])
+@pytest.mark.parametrize("sgens, igens", [
+    ((10, 11, 13, 17, 19), (3,)),
+    ((10, 11, 13, 17, 19), (-4, -1)),
+    ((14, 15, 20, 21), (0, 1)),
+    ((10, 11, 13, 17, 19), (0, 2)),
+], ids=["principal", "negative-offsets", "perfect-2x2", "not-a-brick"])
+def test_pair_lines_match_library_operations(capsys, command, sgens, igens):
+    # both commands read the dual and the sum off brick_check: they are the
+    # ideals that RelativeIdeal.dual and + compute, with the same mu values
+    S = NumericalSemigroup(sgens)
+    I = RelativeIdeal(S, igens)
+    D = I.dual()
+    K = I + D
+
+    def fmt(ideal):
+        return "(" + ", ".join(map(str, ideal.min_gens)) + ")"
+
+    code, out, err = invoke(capsys, command, *map(str, sgens), "--",
+                            *map(str, igens))
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[1:4] == [f"I = {fmt(I)}", f"S - I = {fmt(D)}",
+                          f"I + (S - I) = {fmt(K)}"]
+    if command == "dual":
+        assert lines[4] == (f"mu(I) = {I.mu}, mu(S - I) = {D.mu}, "
+                            f"mu(I + (S - I)) = {K.mu}")
+    else:
+        assert lines[4] == f"dimensions: {I.mu} x {D.mu}"
 
 
 def test_brick_imperfect_example(capsys):

@@ -53,7 +53,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def test_scan_matches_reference_over_whole_space(config, hits):
     found = 0
     for S in enumerate_semigroups(config):
-        got = _scan_semigroup(S, config)
+        got = _scan_semigroup(S.min_gens, config)
         assert got == reference_scan_semigroup(S, config), S.min_gens
         # the bound behind the proved cap: k * mu(S - I) <= multiplicity
         assert all(r.k * r.m <= r.multiplicity for r in got), S.min_gens
@@ -70,7 +70,7 @@ def test_scan_matches_reference_on_four_generator_bricks(gens, ideal):
     # extensions: (0, 3, 9) over (12, 21, 30, 31) is none, (0, 3, 9, 14) is
     cfg = SearchConfig(t_min=4, t_max=4, gen_max=31, mu_cap=4)
     S = NumericalSemigroup(gens)
-    got = _scan_semigroup(S, cfg)
+    got = _scan_semigroup(S.min_gens, cfg)
     assert got == reference_scan_semigroup(S, cfg)
     assert ideal in [r.i_gens for r in got]
 
@@ -190,7 +190,7 @@ def test_every_skipped_candidate_has_a_bad_pair(monkeypatch, config):
     skipped = 0
     for S in enumerate_semigroups(config):
         tested.clear()
-        _scan_semigroup(S, config)
+        _scan_semigroup(S.min_gens, config)
         duals = {}
 
         def certified(gens):
