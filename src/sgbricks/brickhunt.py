@@ -56,7 +56,7 @@ from .errors import (
     ZeroNotGeneratorError,
 )
 from .ideal import BrickCheck, RelativeIdeal, _bits, brick_check
-from .sgcore import MAX_MASK_BITS, NumericalSemigroup, _saturate
+from .sgcore import MAX_MASK_BITS, NumericalSemigroup, _over_budget, _saturate
 
 REPORT_FORMATS = ("line", "table")
 TABLE_HEADER = "s_gens;i_gens;dual_gens;k;m;perfect;mult;frob"
@@ -94,9 +94,7 @@ class SearchConfig:
             raise InvalidInputError("gen_max must be at least 2")
         if self.gen_max >= MAX_MASK_BITS:
             # the semigroup walk's reachability bitset has gen_max + 1 bits
-            raise ResourceLimitError(
-                f"a reachability bitset of {self.gen_max + 1} bits exceeds "
-                f"the budget of {MAX_MASK_BITS} bits")
+            raise _over_budget("a reachability", self.gen_max + 1)
         if self.mu_cap is not None and self.mu_cap < 2:
             raise InvalidInputError("mu_cap must be at least 2")
         if self.worker_count < 1:

@@ -23,7 +23,8 @@ it, clipped at the largest generator, so balanced.classify needs no table.
 Two budgets keep absurd inputs from exhausting memory: a multiplicity above
 MAX_MULTIPLICITY and an element or reachability bitset of more than
 MAX_MASK_BITS bits raise ResourceLimitError (a DomainError, exit 3 in the
-CLI) before anything of that size is allocated.
+CLI) before anything of that size is allocated.  Every bitset refusal, here
+and in brickhunt.SearchConfig, is built by the one helper _over_budget.
 """
 
 from __future__ import annotations
@@ -77,9 +78,6 @@ class NumericalSemigroup:
             raise EmptyInputError("at least one generator is required")
         if gens[0] < 1:
             raise InvalidInputError("generators must be positive")
-        if gens[-1] > INT64_MAX:
-            raise IntegerOverflowError(
-                f"generator {gens[-1]} exceeds the signed 64-bit range")
         g = math.gcd(*gens)
         if g != 1:
             raise NonCoprimeError(
@@ -87,7 +85,8 @@ class NumericalSemigroup:
 
         m = gens[0]
         # Every table entry is below multiplicity * max(gens); checking the
-        # product up front keeps all derived values inside 64 bits.
+        # product up front keeps every generator (m >= 1) and all derived
+        # values inside 64 bits.
         if m * gens[-1] > INT64_MAX:
             raise IntegerOverflowError(
                 "apery table entries would exceed the signed 64-bit range")
@@ -152,9 +151,7 @@ class NumericalSemigroup:
         if limit < 0:
             return 0
         if limit >= MAX_MASK_BITS:
-            raise ResourceLimitError(
-                f"an element bitset of {limit + 1} bits exceeds the budget "
-                f"of {MAX_MASK_BITS} bits")
+            raise _over_budget("an element", limit + 1)
         # the limit is read before the mask and written after it, so a
         # racing builder can only hand over a mask complete further out
         have = self._mask_limit
@@ -210,9 +207,7 @@ def is_minimal_ascending(gens: Sequence[int]) -> bool:
     """
     bound = gens[-1]
     if bound >= MAX_MASK_BITS:
-        raise ResourceLimitError(
-            f"a reachability bitset of {bound + 1} bits exceeds the budget "
-            f"of {MAX_MASK_BITS} bits")
+        raise _over_budget("a reachability", bound + 1)
     clip = (1 << (bound + 1)) - 1
     reach = 1
     for a in gens:
@@ -220,6 +215,14 @@ def is_minimal_ascending(gens: Sequence[int]) -> bool:
             return False
         reach = _saturate(reach, a, bound, clip)
     return True
+
+
+def _over_budget(kind: str, bits: int) -> ResourceLimitError:
+    # the one spelling of the MAX_MASK_BITS refusal; callers compare
+    # against the budget inline and call this only to raise
+    return ResourceLimitError(
+        f"{kind} bitset of {bits} bits exceeds the budget of "
+        f"{MAX_MASK_BITS} bits")
 
 
 def _saturate(reach: int, step: int, bound: int, clip: int) -> int:

@@ -67,6 +67,7 @@ def test_classify_permutation_invariant():
 
 def test_classify_rejects_each_condition():
     assert classify([5, 5, 8, 8]).reason == "values are not strictly ascending"
+    assert classify([0, 5, 7, 12]).reason == "values must be positive"
     assert classify([4, 6, 8, 10]).reason == "overall gcd exceeds 1"
     # 5 divides 10; sums would even match
     assert classify([5, 7, 8, 10]).reason == "5 divides 10"

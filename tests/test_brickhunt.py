@@ -521,3 +521,9 @@ def test_read_reports_rejects_malformed(fmt, lines, bad_line):
     text = "\n".join(lines) + "\n"
     with pytest.raises(InvalidInputError, match=f"^line {bad_line}: "):
         read_reports(io.StringIO(text), fmt)
+
+
+@pytest.mark.parametrize("text", ["", GOOD_ROW + "\n"], ids=["empty", "rows"])
+def test_read_reports_requires_the_table_header(text):
+    with pytest.raises(InvalidInputError, match="^missing table header$"):
+        read_reports(io.StringIO(text), "table")

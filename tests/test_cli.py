@@ -209,6 +209,23 @@ def test_search_table_format(capsys):
     )
 
 
+def test_search_perfect_only(capsys):
+    # the hunt-t4 golden's perfect lines, in the same order
+    space = ("search", "--t-min", "4", "--t-max", "4", "--gen-max", "25")
+    golden = GOLDEN["spaces"]["t4-4/gen25"]["sha256"]
+    code, out, _ = invoke(capsys, *space)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == golden
+    perfect = [line for line in out.splitlines(keepends=True)
+               if '"perfect": true' in line]
+    assert len(perfect) == 6
+    code, out, err = invoke(capsys, *space, "--perfect-only")
+    assert code == 0
+    assert out == "".join(perfect)
+    assert err.splitlines()[0] == (
+        "bricks: 6 pairs, 3 distinct semigroups, 6 perfect")
+
+
 def test_search_out_file(tmp_path: Path, capsys):
     target = tmp_path / "hits.jsonl"
     code, out, err = invoke(capsys, "search", "--t-min", "4", "--t-max", "4",
@@ -276,6 +293,19 @@ def test_search_empty_space(capsys):
 
 
 # ------------------------------------------------------------- exit codes
+
+@pytest.mark.parametrize("argv, status", [
+    (["analyze", "10", "11", "13", "17", "19"], 0),
+    (["dual", "100003", "100019", "--", "0", "1"], 3),
+], ids=["success", "resource-limit"])
+def test_main_exits_with_the_run_status(monkeypatch, argv, status):
+    # the console script's entry point reads sys.argv and exits with the
+    # status run returns
+    monkeypatch.setattr("sys.argv", ["sgbricks", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == status
+
 
 def test_no_arguments(capsys):
     code, out, err = invoke(capsys)
@@ -418,8 +448,12 @@ def test_search_bad_config_is_domain_error(capsys, tmp_path):
     (("family",), "--z-max"),
     (("family", "--z-max"), "--z-max"),
     (("family", "--z-max", "x"), "'x'"),
+    (("analyze",), "missing semigroup generators"),
+    (("dual", "--", "0", "1"), "missing semigroup generators"),
+    (("dual", "10", "11", "--"), "missing ideal generators"),
 ], ids=["unknown-option", "missing-value", "bad-format", "family-no-z-max",
-        "family-missing-value", "family-not-an-integer"])
+        "family-missing-value", "family-not-an-integer", "analyze-no-gens",
+        "dual-no-semigroup-gens", "dual-no-ideal-gens"])
 def test_option_usage_errors(capsys, args, named):
     code, out, err = invoke(capsys, *args)
     assert code == 2 and out == ""

@@ -71,7 +71,10 @@ def test_shift_pair_dual_two_outer_generators():
 
 
 def test_equals_and_canonicalization(S12):
-    assert RelativeIdeal(S12, [2, 5]) == RelativeIdeal(S12, [5, 2])
+    a, b = RelativeIdeal(S12, [2, 5]), RelativeIdeal(S12, [5, 2, 12])
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == ("RelativeIdeal((2, 5) over "
+                       "NumericalSemigroup([10, 11, 13, 17, 19]))")
     S = NumericalSemigroup([14, 15, 20, 21])
     assert RelativeIdeal(S, [0, 1]) != RelativeIdeal(S, [0, 2])
     # element sets genuinely differ

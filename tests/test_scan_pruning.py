@@ -75,6 +75,20 @@ def test_scan_matches_reference_on_four_generator_bricks(gens, ideal):
     assert ideal in [r.i_gens for r in got]
 
 
+@pytest.mark.parametrize("cap,hits", [
+    (4, [((0, 5), 2, 5)]),
+    (5, [((0, 2, 3, 6, 9), 5, 2), ((0, 5), 2, 5)]),
+], ids=["cap4", "cap5"])
+def test_cap_excludes_the_brick_one_generator_past_it(cap, hits):
+    # the one 5x2 brick of t5/gen<=24 at cap 5: a scan, or a reference,
+    # that walked one level past cap 4 would report it there too
+    cfg = SearchConfig(t_min=5, t_max=5, gen_max=24, mu_cap=cap)
+    S = NumericalSemigroup((15, 18, 21, 22, 24))
+    got = _scan_semigroup(S.min_gens, cfg)
+    assert got == reference_scan_semigroup(S, cfg)
+    assert [(r.i_gens, r.k, r.m) for r in got] == hits
+
+
 def counting_kernel(monkeypatch):
     calls = []
     kernel = brickhunt._bad_generators

@@ -122,6 +122,7 @@ def test_input_order_irrelevant():
     a = NumericalSemigroup([19, 10, 17, 11, 13])
     b = NumericalSemigroup([10, 11, 13, 17, 19])
     assert a == b and hash(a) == hash(b)
+    assert repr(a) == "NumericalSemigroup([10, 11, 13, 17, 19])"
 
 
 # ---------------------------------------------------------------- errors
