@@ -8,9 +8,13 @@ element counts O(1) afterwards.
 
 The table takes O(t * m) steps for t generators, by the round-robin
 algorithm of Boecker and Liptak ("A fast and simple algorithm for the money
-changing problem", Algorithmica 48, 2007).  The gap count follows from the
-sum of the table by Selmer's formula (Rosales and Garcia-Sanchez, Numerical
-Semigroups, Springer 2009, ch. 2).
+changing problem", Algorithmica 48, 2007).  The same pass finds the minimal
+generating set: the generators go in ascending order, each round leaves the
+exact table of the generators so far, so a generator a is a sum of smaller
+ones iff a is at least the entry of its class a % m so far; only the others
+are kept and added to the table.  The gap count follows from the sum of the
+table by Selmer's formula (Rosales and Garcia-Sanchez, Numerical Semigroups,
+Springer 2009, ch. 2).
 
 Where only the members up to some bound matter, a reachability bitset is
 cheaper than the table: _saturate closes it under adding one generator in
@@ -94,25 +98,14 @@ class NumericalSemigroup:
             raise ResourceLimitError(
                 f"multiplicity {m} exceeds the bound of {MAX_MULTIPLICITY}")
 
-        table = _least_residue_table(gens, m)
+        table, kept = _least_residue_table(gens, m)
+        self.min_gens = tuple(kept)
         self.multiplicity = m
         self.apery_table = tuple(table)
         self.frobenius = frob = max(table) - m
         # Selmer: the table sum exceeds 0 + 1 + ... + (m - 1) by m per gap,
         # and every gap lies in [0, frob]
         self.n_count = frob + 1 - (sum(table) - m * (m - 1) // 2) // m
-        # a is redundant iff a - b is a member for some smaller input b:
-        # were a = s + s' with s, s' nonzero members, s would be a sum of
-        # inputs below a, and any one of them serves as b
-        kept = []
-        for i, a in enumerate(gens):
-            for b in gens[:i]:
-                d = a - b
-                if d >= table[d % m]:
-                    break
-            else:
-                kept.append(a)
-        self.min_gens = tuple(kept)
         self._mask = 1
         self._mask_limit = 0
 
@@ -235,26 +228,31 @@ def _saturate(reach: int, step: int, bound: int, clip: int) -> int:
     return reach
 
 
-def _least_residue_table(gens: list[int], m: int) -> list[int]:
+def _least_residue_table(gens: list[int],
+                         m: int) -> tuple[list[int], list[int]]:
     # Least member per residue class mod m, one generator at a time
-    # (Boecker and Liptak's round robin).  Adding a generator a of residue
-    # k = a % m splits the classes into gcd(k, m) cycles r -> (r + k) % m.
-    # Walking a cycle once from its least entry n, n = min(n + a, next
-    # entry) at each step is final.  Multiples of m never improve an entry,
-    # and among generators sharing a residue only the smallest, the first
-    # in the ascending gens, matters.
+    # (Boecker and Liptak's round robin), and the minimal generators among
+    # the ascending gens.  Adding a generator a of residue k = a % m splits
+    # the classes into gcd(k, m) cycles r -> (r + k) % m.  Walking a cycle
+    # once from its least entry n, n = min(n + a, next entry) at each step
+    # is final.  Each round leaves the exact table of the generators so
+    # far, so before a, dist[k] is the least member of class k generated
+    # by the generators below a, and a is a sum of them iff a >= dist[k].
+    # Such an a changes no entry and is skipped, which covers a residue
+    # already taken (dist[k] <= b < a) and a multiple of m (dist[0] = 0);
+    # every other a is a minimal generator.
     unset = m * gens[-1] + 1
     dist = [unset] * m
     dist[0] = 0
-    seen = {0}
-    for a in gens:
+    kept = [m]
+    for a in gens[1:]:
         k = a % m
-        if k in seen:
+        if dist[k] <= a:
             continue
-        seen.add(k)
+        kept.append(a)
         d = math.gcd(k, m)
         length = m // d
-        if len(seen) == 2:
+        if len(kept) == 2:
             # from the table {0: 0} alone, the one reachable cycle is the
             # one through 0, and it holds i * a for every i below its length
             for n in range(a, a * length, a):
@@ -280,4 +278,4 @@ def _least_residue_table(gens: list[int], m: int) -> list[int]:
     if unset in dist:
         raise RuntimeError(
             f"residue {dist.index(unset)} mod {m} unreachable from {gens}")
-    return dist
+    return dist, kept

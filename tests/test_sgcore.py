@@ -112,6 +112,15 @@ def test_coprime_pair_formula_matches_construction(a, b):
 
 def test_redundant_generator_dropped():
     assert NumericalSemigroup([4, 6, 9, 10]).min_gens == (4, 6, 9)
+    # the edges of the rule "a is a sum of smaller generators iff a is at
+    # least the least member of its class mod m":
+    # 24 = 11 + 13 is the least member of class 4, which no smaller
+    # generator holds
+    assert NumericalSemigroup([10, 11, 13, 24]).min_gens == (10, 11, 13)
+    # 13 = 6 + 7 is exactly the least member of its class
+    assert NumericalSemigroup([5, 6, 7, 13]).min_gens == (5, 6, 7)
+    # 34 lies strictly above 24, the least member of its class
+    assert NumericalSemigroup([10, 11, 13, 34]).min_gens == (10, 11, 13)
 
 
 def test_duplicates_collapsed():
