@@ -65,7 +65,7 @@ MAX_WORKERS = 256  # one process each: more only exhausts the process table
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Bounds of a search space.
+    """Bounds of a search space and its worker count.
 
     mu_cap of None applies the default ideal-size cap 1 + t // 2, where t is
     the size of each semigroup's minimal generating set.
@@ -75,7 +75,6 @@ class SearchConfig:
     t_max: int = 5
     gen_max: int = 50
     mu_cap: int | None = None
-    perfect_only: bool = False
     worker_count: int = 1
 
     def __post_init__(self):
@@ -83,9 +82,6 @@ class SearchConfig:
             value = getattr(self, name)
             if type(value) is not int and not (name == "mu_cap" and value is None):
                 raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-        if type(self.perfect_only) is not bool:
-            raise InvalidInputError(
-                f"perfect_only must be a bool, got {self.perfect_only!r}")
         if self.t_min < 2:
             raise InvalidInputError("t_min must be at least 2")
         if self.t_max < self.t_min:
@@ -167,9 +163,9 @@ def enumerate_ideals(S: NumericalSemigroup,
 
 
 def search(config: SearchConfig) -> list[BrickReport]:
-    """Run brick_check over every (semigroup, ideal) pair in the space and
-    collect the bricks, ordered by (s_gens, i_gens) regardless of worker
-    count."""
+    """The reports of every brick in the space, ordered by (s_gens, i_gens)
+    regardless of worker count: the kernel decides each candidate pair, and
+    brick_check re-validates each hit."""
     tuples = _minimal_tuples(config)
     scan = functools.partial(_scan_semigroup, config=config)
     if config.worker_count <= 1:
@@ -237,8 +233,7 @@ def _scan_semigroup(gens: tuple[int, ...],
                     config: SearchConfig) -> list[BrickReport]:
     """The reports of the bricks of the semigroup with minimal generators
     gens, in pre-order of the candidate tree: the hits of _walk_candidates
-    under _bad_generators, each re-validated through ideal.brick_check and
-    kept when it passes the perfect_only filter."""
+    under _bad_generators, each re-validated through ideal.brick_check."""
     S = NumericalSemigroup(gens)
     out: list[BrickReport] = []
     for i_gens in _walk_candidates(S, config.cap_for(len(S.min_gens)),
@@ -249,8 +244,7 @@ def _scan_semigroup(gens: tuple[int, ...],
             raise RuntimeError(
                 f"scan kernel reported a brick that brick_check rejects: "
                 f"semigroup {S.min_gens}, ideal {ideal.min_gens}")
-        if check.is_perfect or not config.perfect_only:
-            out.append(BrickReport.from_check(S, ideal, check))
+        out.append(BrickReport.from_check(S, ideal, check))
     return out
 
 

@@ -4,8 +4,10 @@ Commands: analyze, dual, brick, classify, family, lift, search.  Commands
 taking a semigroup and an ideal separate the two integer lists with `--`;
 dual and brick read the dual, the sum and their mu values off one
 brick_check.
-family and search share one option parser; search's flags map onto
-SearchConfig fields, so the search defaults live only in SearchConfig.
+family and search share one option parser; search's flags other than
+--format, --out and --perfect-only map onto SearchConfig fields, so the
+search defaults live only in SearchConfig.  --perfect-only keeps the
+perfect records, and the summary counts only those.
 Exit status: 0 success, 2 usage error, 3 domain validation error, 4 I/O
 failure; errors go to stderr as one machine-readable line.
 """
@@ -236,8 +238,8 @@ def _cmd_lift(args: list[str]) -> None:
 
 
 def _cmd_search(args: list[str]) -> None:
-    # fmt and out pick the report; every other name is a SearchConfig
-    # field, whose defaults apply to the flags not given
+    # fmt, out and perfect_only pick the report; every other name is a
+    # SearchConfig field, whose defaults apply to the flags not given
     options = _options(
         args, {"--t-min": "t_min", "--t-max": "t_max", "--gen-max": "gen_max",
                "--mu-cap": "mu_cap", "--workers": "worker_count",
@@ -249,6 +251,7 @@ def _cmd_search(args: list[str]) -> None:
         raise UsageError("--format needs "
                          + " or ".join(f"`{f}`" for f in REPORT_FORMATS))
     out = options.pop("out", None)
+    perfect_only = options.pop("perfect_only", False)
     if "gen_max" not in options:
         raise UsageError("search requires --gen-max")
     config = SearchConfig(**options)
@@ -256,6 +259,8 @@ def _cmd_search(args: list[str]) -> None:
     # path fails at once rather than after the whole search
     with open(out, "w") if out is not None else nullcontext(sys.stdout) as dest:
         reports = search(config)
+        if perfect_only:
+            reports = [r for r in reports if r.perfect]
         write_reports(reports, dest, fmt)
     print(summarize(reports), file=sys.stderr)
 

@@ -39,8 +39,7 @@ def reference_scan_semigroup(S: NumericalSemigroup,
         ideal = RelativeIdeal._trusted(S, (0, *offsets))
         check = brick_check(S, ideal)
         assert check.is_brick
-        if check.is_perfect or not config.perfect_only:
-            out.append(BrickReport.from_check(S, ideal, check))
+        out.append(BrickReport.from_check(S, ideal, check))
 
     def walk(offsets: tuple[int, ...], cand: int, emask: int) -> None:
         # the candidates (0, *offsets, x) for x in cand, and their subtrees

@@ -52,9 +52,6 @@ def test_config_validation():
                    {"t_max": "5"}, {"mu_cap": 3.0}):
         with pytest.raises(InvalidInputError, match="must be an integer"):
             SearchConfig(**fields)
-    # a non-empty string would read as true
-    with pytest.raises(InvalidInputError, match="must be a bool"):
-        SearchConfig(perfect_only="no")
 
 
 def test_worker_budget(monkeypatch):
@@ -273,11 +270,6 @@ def test_reports_within_the_proved_cap(t4_gen27_reports):
 
 def test_search_empty_below_multiplicity_nine():
     assert search(SearchConfig(t_min=2, t_max=5, gen_max=8)) == []
-
-
-def test_search_perfect_only_filter(t4_gen27_reports):
-    cfg = SearchConfig(t_min=4, t_max=4, gen_max=27, perfect_only=True)
-    assert search(cfg) == [r for r in t4_gen27_reports if r.perfect]
 
 
 def test_search_deterministic_across_workers():

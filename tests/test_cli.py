@@ -1,11 +1,12 @@
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 
 from sgbricks import brickhunt, cli
-from sgbricks.brickhunt import SearchConfig
+from sgbricks.brickhunt import SearchConfig, read_reports, render_reports
 from sgbricks.cli import run
 from sgbricks.errors import ResourceLimitError
 from sgbricks.ideal import RelativeIdeal
@@ -219,11 +220,24 @@ def test_search_perfect_only(capsys):
     perfect = [line for line in out.splitlines(keepends=True)
                if '"perfect": true' in line]
     assert len(perfect) == 6
+    summary = "bricks: 6 pairs, 3 distinct semigroups, 6 perfect"
     code, out, err = invoke(capsys, *space, "--perfect-only")
     assert code == 0
     assert out == "".join(perfect)
-    assert err.splitlines()[0] == (
-        "bricks: 6 pairs, 3 distinct semigroups, 6 perfect")
+    assert err.splitlines()[0] == summary
+    # the filter runs before either writer, and on the pool's records
+    code, pooled, err = invoke(capsys, *space, "--perfect-only",
+                               "--workers", "2")
+    assert code == 0
+    assert pooled == out
+    assert err.splitlines()[0] == summary
+    code, table, err = invoke(capsys, *space, "--perfect-only",
+                              "--format", "table")
+    assert code == 0
+    assert table == render_reports(read_reports(io.StringIO(out)), "table")
+    assert hashlib.sha256(table.encode()).hexdigest() == (
+        "99c034baabd6edf322888f2664a14092a30a7a0c5562c20e58943a691b0b345b")
+    assert err.splitlines()[0] == summary
 
 
 def test_search_out_file(tmp_path: Path, capsys):
