@@ -4,22 +4,23 @@ Semigroups come from one walk of the pruned tree of generator tuples
 (_minimal_tuples): a tuple grows only by integers its prefix cannot already
 reach, so every tuple in the tree is a minimal generating set, and the ones
 with gcd 1 are the semigroups, in lexicographic order.  For each semigroup the
-candidate ideals form one tree (_walk_candidates) rooted at (0,): a child
-appends a nonzero offset up to frobenius minus multiplicity whose
-difference with each generator is a gap, so every node is already a minimal
-generating set, and the tree stops at 1 + t // 2 generators for a
-t-generated semigroup.  enumerate_ideals walks it with nothing pruned, the
-search (_scan_semigroup) with the brick kernel.  The kernel
-(_bad_generators) reads the minimal generators W of a dual D off its bitset
-and decides the brick test with a few shifts: (S, I) is a brick iff no w in
-W has w + delta in D for a difference delta of two generators of I.  Each
-such w and w + delta also break it for every larger ideal whose dual still
-holds both, and the kernel returns one kill bitset: at a node whose
-children are leaves, the children's offsets that keep such a pair; at any
-node, every offset when a w above frobenius - max I rules out the node's
-whole subtree at once.  The walk skips what the kill rules out, each node
-pruning only from its own dual.  The pruning is exact, checked against an
-independent unpruned scan over whole spaces.
+candidate ideals form one tree rooted at (0,): a child appends a nonzero
+offset up to frobenius minus multiplicity whose difference with each
+generator is a gap, so every node is already a minimal generating set, and
+the tree stops at 1 + t // 2 generators for a t-generated semigroup.
+enumerate_ideals walks it with nothing pruned; the search
+(_scan_semigroup) walks it with pruning (_walk_candidates).  For each child
+the walk reads the minimal generators W of its dual D off D's bitset and
+applies the headroom rule inline: a w above frobenius - max I rules out the
+child and its whole subtree at once, before any call.  The kernel
+(_bad_generators) decides the rest with a few shifts: (S, I) is a brick iff
+no w in W has w + delta in D for a difference delta of two generators of I.
+Each such w and w + delta also break it for every larger ideal whose dual
+still holds both, and at a node whose children are leaves the kernel
+returns one kill bitset of the children's offsets that keep such a pair.
+The walk skips what the kill rules out, each node pruning only from its own
+dual.  The pruning is exact, checked against an independent unpruned scan
+over whole spaces.
 Every hit is re-validated through ideal.brick_check; a disagreement raises
 RuntimeError, an explicit check that python -O keeps.
 
@@ -150,15 +151,31 @@ def enumerate_ideals(S: NumericalSemigroup,
                      config: SearchConfig) -> Iterator[RelativeIdeal]:
     """Minimal ideals (0, u1, ...) with nonzero offsets up to
     frobenius - multiplicity, in lexicographic order: the candidate tree
-    the search scans, walked in pre-order with nothing pruned.  Tuples that
-    are not minimal generating sets are never formed: offsets and their
-    pairwise differences are all gaps.  No brick is lost above
-    frobenius - multiplicity: tests/test_brickhunt.py
+    the search scans (see _walk_candidates), walked in pre-order with
+    nothing pruned.  Tuples that are not minimal generating sets are never
+    formed: offsets and their pairwise differences are all gaps.  No brick
+    is lost above frobenius - multiplicity: tests/test_brickhunt.py
     (test_offset_bound_loses_no_brick) runs brick_check on every minimal
     candidate with an offset in that band, over five spaces at the default
     cap and at cap 4, and finds none."""
-    for gens in _walk_candidates(S, config.cap_for(len(S.min_gens)),
-                                 lambda *_: (True, 0)):
+    top = S.frobenius - S.multiplicity
+    if top < 1:
+        return
+    cap = config.cap_for(len(S.min_gens))
+    gapmask = ~S.element_mask(top) & ((1 << (top + 1)) - 1)
+    found: list[tuple[int, ...]] = []
+
+    def walk(gens, cand):
+        # the children gens + (x,), x in cand, and their subtrees
+        for x in _bits(cand):
+            child = gens + (x,)
+            found.append(child)
+            if len(child) < cap:
+                walk(child, cand & (gapmask << x))
+
+    walk((0,), gapmask)
+    del walk  # the recursive closure is a cycle
+    for gens in found:
         yield RelativeIdeal._trusted(S, gens)
 
 
@@ -232,12 +249,11 @@ def _minimal_tuples(config: SearchConfig) -> Iterator[tuple[int, ...]]:
 def _scan_semigroup(gens: tuple[int, ...],
                     config: SearchConfig) -> list[BrickReport]:
     """The reports of the bricks of the semigroup with minimal generators
-    gens, in pre-order of the candidate tree: the hits of _walk_candidates
-    under _bad_generators, each re-validated through ideal.brick_check."""
+    gens, in pre-order of the candidate tree: the hits of _walk_candidates,
+    each re-validated through ideal.brick_check."""
     S = NumericalSemigroup(gens)
     out: list[BrickReport] = []
-    for i_gens in _walk_candidates(S, config.cap_for(len(S.min_gens)),
-                                   _bad_generators):
+    for i_gens in _walk_candidates(S, config.cap_for(len(S.min_gens))):
         ideal = RelativeIdeal._trusted(S, i_gens)
         check = brick_check(S, ideal)
         if not check.is_brick:
@@ -248,30 +264,39 @@ def _scan_semigroup(gens: tuple[int, ...],
     return out
 
 
-def _walk_candidates(S: NumericalSemigroup, cap: int,
-                     test) -> list[tuple[int, ...]]:
+def _walk_candidates(S: NumericalSemigroup, cap: int) -> list[tuple[int, ...]]:
     """The generator tuples of the candidate ideals of one semigroup with
-    at most cap generators that test accepts, as a list in pre-order; empty
-    when frobenius - m < 1, where the tree has no node but its root.
+    at most cap generators that the walk finds to be bricks, as a list in
+    pre-order; empty when frobenius - m < 1, where the tree has no node but
+    its root.
 
     Candidates form a tree rooted at (0,): a child appends to (0, *offsets)
     an offset x whose difference with each generator is a gap, so the
     root's children are the (0, g) for the gaps g <= frobenius - m, and
-    pre-order is lexicographic order.  A node's test has the signature of
-    _bad_generators: it reads the node's dual bitset, the positive
-    differences of its generators, its headroom frobenius - x, x its newest
-    and largest offset, and the bitset wanted of the offsets it may rule
-    out, and returns (accepted, kill); under a test that returns (True, 0)
-    the list holds every candidate.
+    pre-order is lexicographic order.  Each node reads its offsets from the
+    top, so the hits come out of order, and one sort at the end puts them
+    in pre-order.
 
-    Every inner node is tested, and its kill drops offsets from its
-    children: a node whose children are leaves wants their offsets, and a
-    leaf is skipped, untested, only when its parent's bad pairs rule it
-    out; a higher node wants none, and its kill is -1, every offset, only
-    when the headroom test rules out its whole subtree.  A child that a
-    bad pair of an ancestor rules out is tested itself, and by the lemma in
-    _bad_generators its own dual yields the same pair, so its kill holds
-    every bit the ancestor's would have passed down.
+    For each child I the walk masks its parent's dual to D = S - I, reads
+    the minimal generators W of D off that bitset (w is in D and no w - a
+    is, for a an atom of S), and applies the headroom rule itself: a child
+    whose W holds a w above F - x, x its newest and largest offset, is
+    dropped with its whole subtree, before its differences are built and
+    before any call.  Then w + x > F, so w + x + z > F is a member for
+    every generator z, w + x is in D, and delta = x is a difference of I:
+    (S, I) is no brick.  An ideal I' of the subtree adds
+    offsets y > x, and w + y and w + x + y exceed F, so by the lemma in
+    _bad_generators (S, I') is no brick either.  So every minimal generator
+    of S - I for a brick lies at or below F - max I, and so does every w
+    that reaches _bad_generators.
+
+    A child past the headroom rule gets the pair test of _bad_generators,
+    whose kill drops offsets from its children: a node whose children are
+    leaves wants their offsets, and a leaf is skipped, untested, when its
+    parent's bad pairs rule it out; a higher node wants none.  A child that
+    a bad pair of an ancestor rules out is tested itself, and by the lemma
+    its own dual yields the same pair, so its kill holds every bit the
+    ancestor's would have passed down.
     """
     frob, m = S.frobenius, S.multiplicity
     top = frob - m
@@ -282,25 +307,44 @@ def _walk_candidates(S: NumericalSemigroup, cap: int,
     smask = S.element_mask(frob + m + top)
     gapmask = ~smask & ((1 << (top + 1)) - 1)
     atoms = S.min_gens
+    room = frob + 1  # a child with offset x drops at a w >= room - x
     found: list[tuple[int, ...]] = []
 
     def walk(gens, diffs, cand, dual):
         # the children gens + (x,), x in cand, of a node with dual bitset
         # dual and positive differences diffs
+        rest = cand
         if len(gens) + 1 == cap:
             # the children are leaves, and cand holds only live ones
-            for x in _bits(cand):
-                if test(dual & (smask >> x), smask, atoms,
-                        diffs + tuple(map(x.__sub__, gens)), frob - x, 0)[0]:
+            while rest:
+                x = rest.bit_length() - 1
+                rest ^= 1 << x
+                sub = dual & (smask >> x)
+                lows = 0
+                for a in atoms:
+                    lows |= sub << a
+                mins = sub & ~lows
+                if mins >> (room - x):
+                    continue
+                if _bad_generators(sub, mins, smask,
+                                   diffs + tuple(map(x.__sub__, gens)), 0)[0]:
                     found.append(gens + (x,))
             return
         last = len(gens) + 2 == cap  # the children's children are leaves
-        for x in _bits(cand):
-            child = diffs + tuple(map(x.__sub__, gens))
+        while rest:
+            x = rest.bit_length() - 1
+            rest ^= 1 << x
             sub = dual & (smask >> x)
+            lows = 0
+            for a in atoms:
+                lows |= sub << a
+            mins = sub & ~lows
+            if mins >> (room - x):
+                continue
+            child = diffs + tuple(map(x.__sub__, gens))
             below = cand & (gapmask << x)
-            accepted, kill = test(sub, smask, atoms, child, frob - x,
-                                  below if last else 0)
+            accepted, kill = _bad_generators(sub, mins, smask, child,
+                                             below if last else 0)
             if accepted:
                 found.append(gens + (x,))
             below &= ~kill
@@ -309,41 +353,41 @@ def _walk_candidates(S: NumericalSemigroup, cap: int,
 
     walk((0,), (), gapmask, smask & ((2 << (frob + m)) - 1))
     del walk  # frees the semigroup now: the recursive closure is a cycle
+    found.sort()
     return found
 
 
-def _bad_generators(dual, smask, atoms, diffs, headroom, wanted):
-    """The brick test of a candidate ideal I from the bitset dual of
-    D = S - I, the positive differences diffs of its generators and its
-    headroom F - max I, with the bitset kill of the offsets whose
-    extensions of I it rules out: bits of wanted, or -1 when the headroom
-    test below rules out every extension.
+def _bad_generators(dual, mins, smask, diffs, wanted):
+    """The pair test of a candidate ideal I past the walk's headroom rule,
+    from the bitset dual of D = S - I, the bitset mins of its minimal
+    generators W, the positive differences diffs of its generators, with
+    the bitset kill of the offsets, bits of wanted, whose extensions of I
+    it rules out.
 
     Returns (is_brick, kill).  Let I have generators z_1 < ... < z_k,
-    k >= 2, and let W be the minimal generators of D.  The k * mu(D) sums
-    z_i + w generate I + D, and (S, I) is a brick iff they are distinct and
-    all minimal.  Within one translate z_i + W they are: W is minimal.  So
-    the brick test fails iff some z_i + w lies in z_j + D for j != i, that
-    is, iff w + delta is in D for a minimal generator w and a signed
-    difference delta = z_i - z_j.  Hence (S, I) is a brick iff W misses
-    D - delta for every delta: in bits, mins & ((dual >> d) | (dual << d))
-    is 0 for every d in diffs.  mins is the bitset of W: w is in D and no
-    w - a is, for a in atoms (the minimal generators of S).  Every w lies
-    at or below F + m, F the Frobenius number and m the multiplicity,
+    k >= 2.  The k * mu(D) sums z_i + w generate I + D, and (S, I) is a
+    brick iff they are distinct and all minimal.  Within one translate
+    z_i + W they are: W is minimal.  So the brick test fails iff some
+    z_i + w lies in z_j + D for j != i, that is, iff w + delta is in D for a
+    minimal generator w and a signed difference delta = z_i - z_j.  Hence
+    (S, I) is a brick iff W misses D - delta for every delta: in bits,
+    mins & ((dual >> d) | (dual << d)) is 0 for every d in diffs.  Every w
+    lies at or below F + m, F the Frobenius number and m the multiplicity,
     since w - m > F would be in D.
 
-    The window.  dual is D within [0, F + m], and smask, the member bitset,
-    is complete through F + m + top, where top = F - m bounds every offset
-    and every difference of I.  The set bits of dual are a prefix of D, so
-    mins is exact: each w - a lies below w.  Past the headroom test below,
-    every w lies at or below F - max I, so the test reads D at w + d <= F,
-    and a kill mask reads smask at v + d + x <= F + top, v + d <= F the
-    upper end of a bad pair and x <= top an offset.  A caller that turns
-    the headroom test off, with a headroom of F + m or more, reads D at
-    w + d <= F + m + top and smask at v + d + x <= F + m + 2 * top: it must
-    pass a dual complete through F + m + top and an smask complete through
-    F + m + 2 * top.  A dual longer than [0, F + m] gives the same mins,
-    since each of its bits w above F + m has w - m in D.
+    The window rests on the walk's headroom rule (see _walk_candidates):
+    every w lies at or below F - max I.  dual is D within [0, F + m], and
+    smask, the member bitset, is complete through F + m + top, where
+    top = F - m bounds every offset and every difference of I.  The set
+    bits of dual are a prefix of D, so mins, read off it, is exact: each
+    w - a lies below w.  As w <= F - max I and d <= max I, the test reads D
+    at w + d <= F, and a kill mask reads smask at v + d + x <= F + top,
+    v + d <= F the upper end of a bad pair and x <= top an offset.  A
+    caller that skips the headroom rule reads D at w + d <= F + m + top and
+    smask at v + d + x <= F + m + 2 * top: it must pass a dual complete
+    through F + m + top and an smask complete through F + m + 2 * top.  A
+    dual longer than [0, F + m] gives the same mins, since each of its bits
+    w above F + m has w - m in D.
 
     The dual of a candidate is never principal, so a brick found here has
     mu(D) >= 2.  As 0 is in I, D lies within S; as every offset is
@@ -368,29 +412,10 @@ def _bad_generators(dual, smask, atoms, diffs, headroom, wanted):
     end that makes kill hold every wanted bit; at the first failing
     difference for wanted = 0.
 
-    Headroom: a minimal generator w of D above F - z_k, for headroom
-    F - z_k, rules out I and its whole subtree at once.  Then w + z_k > F,
-    so w + z_k + z_i > F is a member for every i, w + z_k is in D, and
-    delta = z_k is a difference of I: (S, I) is no brick.  An ideal I' of
-    the subtree adds offsets x > z_k, and w + x and w + z_k + x exceed F,
-    so by the lemma (S, I') is no brick either.  The kernel then returns
-    (False, -1), -1 the bitset of every offset, whatever wanted holds: the
-    walk reads it only at offsets above z_k; a caller that wants the pair
-    masks of lower offsets passes headroom >= F + m, above every w, and the
-    wider window above.  So
-    every minimal generator of S - I for a brick lies at or below
-    F - max I.
-
     diffs may repeat a difference: the walk passes (2, 4, 2) for (0, 2, 4).
     A repeat re-tests the same bits and ORs in equal masks, so neither
     is_brick nor kill changes.
     """
-    lows = 0
-    for a in atoms:
-        lows |= dual << a
-    mins = dual & ~lows
-    if mins >> (headroom + 1):
-        return False, -1
     is_brick = True
     kill = 0
     for d in diffs:

@@ -179,7 +179,8 @@ def test_walk_candidates_empty_without_offsets():
     for gens in ([3, 4, 5], [2, 3]):
         S = NumericalSemigroup(gens)
         assert S.frobenius - S.multiplicity < 1
-        assert brickhunt._walk_candidates(S, 4, lambda *_: (True, 0)) == []
+        assert brickhunt._walk_candidates(S, 4) == []
+        assert list(enumerate_ideals(S, SearchConfig(mu_cap=4))) == []
 
 
 def test_candidate_duals_are_never_principal():

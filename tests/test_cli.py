@@ -271,11 +271,11 @@ def test_search_workers_same_output(capsys):
      "bricks: 48 pairs, 25 distinct semigroups, 0 perfect",
      "8e57319a0b3eb0a5c9531240fceb891e96dcc7e721d25115e48d0e7e498aeaf3"),
     # t = 6 at its default cap 4, where the nodes (0, g) want no kill bits
-    # and only the headroom test prunes their subtrees
+    # and only the walk's headroom rule prunes their subtrees
     ({"t_min": 6, "t_max": 6, "gen_max": 22},
      "bricks: 5 pairs, 3 distinct semigroups, 3 perfect",
      "e2d93af009fbe88a189d6175f42dc63667633f925ac75caafdfed00bc0d2036d"),
-    # cap 5, the only pinned depth where a headroom kill of -1 at a node
+    # cap 5, the only pinned depth where the walk's headroom rule at a node
     # (0, g) drops two inner levels of its subtree at once
     ({"t_min": 4, "t_max": 4, "gen_max": 21, "mu_cap": 5},
      "bricks: 10 pairs, 6 distinct semigroups, 2 perfect",

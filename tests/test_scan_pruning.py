@@ -25,7 +25,7 @@ from sgbricks.brickhunt import (
     _bad_generators,
     _scan_semigroup,
 )
-from sgbricks.ideal import RelativeIdeal, _bits, brick_check
+from sgbricks.ideal import RelativeIdeal, _bits, _shift_union, brick_check
 from sgbricks.sgcore import NumericalSemigroup
 
 from oracles import (
@@ -89,15 +89,17 @@ def test_cap_excludes_the_brick_one_generator_past_it(cap, hits):
     assert [(r.i_gens, r.k, r.m) for r in got] == hits
 
 
-def counting_kernel(monkeypatch):
+def recording_kernel(monkeypatch):
+    # (number of differences, wanted, kill) of every pair test
     calls = []
     kernel = brickhunt._bad_generators
 
-    def counting(*args):
-        calls.append(None)
-        return kernel(*args)
+    def recording(dual, mins, smask, diffs, wanted):
+        is_brick, kill = kernel(dual, mins, smask, diffs, wanted)
+        calls.append((len(diffs), wanted, kill))
+        return is_brick, kill
 
-    monkeypatch.setattr(brickhunt, "_bad_generators", counting)
+    monkeypatch.setattr(brickhunt, "_bad_generators", recording)
     return calls
 
 
@@ -107,57 +109,69 @@ def test_pruning_skips_most_kernel_calls(monkeypatch):
              for I in enumerate_ideals(S, cfg)]
     candidates = len(sizes)
     assert candidates == 701_443
-    calls = counting_kernel(monkeypatch)
+    calls = recording_kernel(monkeypatch)
     reports = search(cfg)
     assert len(reports) == 31
-    # every (0, g) is tested once; the rest test three generators.  Killing
-    # by bad pairs of the dual's minimal generators, the scan made 201,175
-    # calls
-    assert len(calls) == 109_966
-    assert len(calls) <= 201_175
-    calls_above_two = len(calls) - sizes.count(2)
-    assert calls_above_two == 46_200
-    assert calls_above_two <= 0.35 * candidates
+    # the walk applies the headroom rule to every (0, g) and to every leaf
+    # that its parent's kill leaves, the wanted bits outside the kill of a
+    # (0, g) past the rule.  Killing by bad pairs of the dual's minimal
+    # generators, the scan made 201,175 tests
+    roots = [(wanted, kill) for n, wanted, kill in calls if n == 1]
+    leaves = sum(bin(wanted & ~kill).count("1") for wanted, kill in roots)
+    assert leaves == 46_200
+    assert sizes.count(2) + leaves == 109_966
+    assert sizes.count(2) + leaves <= 201_175
+    assert leaves <= 0.35 * candidates
+    # the rule settles 43,214 of the 63,766 (0, g) and 34,040 of the 46,200
+    # leaves, so only the rest reach the pair test
+    assert (len(roots), len(calls) - len(roots)) == (20_552, 12_160)
+    assert len(calls) == 32_712
 
 
 def test_pruning_reaches_four_generators(monkeypatch):
     # with no pruning past three generators the scan made 358,122 calls
-    calls = counting_kernel(monkeypatch)
+    calls = recording_kernel(monkeypatch)
     reports = search(SearchConfig(t_min=4, t_max=4, gen_max=20, mu_cap=4))
     assert len(reports) == 2
-    assert len(calls) == 50_902
+    assert len(calls) == 9_163
     assert len(calls) <= 358_122 // 2
 
 
 def test_pruning_at_cap_five(monkeypatch):
-    # only the headroom test prunes above the leaves' parents, so a node
+    # only the headroom rule prunes above the leaves' parents, so a node
     # that a bad pair of an ancestor rules out is tested itself
     cfg = SearchConfig(t_min=4, t_max=4, gen_max=18, mu_cap=5)
     candidates = sum(1 for S in enumerate_semigroups(cfg)
                      for _ in enumerate_ideals(S, cfg))
     assert candidates == 327_783
-    calls = counting_kernel(monkeypatch)
+    calls = recording_kernel(monkeypatch)
     reports = search(cfg)
     assert len(reports) == 2
-    assert len(calls) == 30_743
+    assert len(calls) == 4_484
     assert len(calls) <= candidates // 10
+
+
+def minimal(S, dual):
+    # the bitset of the minimal generators of the dual with bitset dual:
+    # its members w with no w - a in it, for a an atom of S
+    return dual & ~_shift_union(dual, S.min_gens)
 
 
 def candidate_args(S, gens, smask, dual):
     # _bad_generators' arguments but wanted for the candidate
     # gens = (0, *offsets), up to the order of the differences, from the
-    # member bitset smask and the dual of (0,): the last is the headroom
-    # F - max I
+    # member bitset smask and the dual of (0,)
     for z in gens[1:]:
         dual &= smask >> z
     diffs = tuple(q - p for p, q in itertools.combinations(gens, 2))
-    return dual, smask, S.min_gens, diffs, S.frobenius - gens[-1]
+    return dual, minimal(S, dual), smask, diffs
 
 
 def kernel_args(S, gens, smask=None):
     # the arguments _walk_candidates passes: a dual masked to [0, F + m] at
     # the root, over a member bitset through F + m + top, top = F - m.
-    # smask, if given, is that member bitset, built once for many candidates
+    # smask, if given, is that member bitset, built once for many candidates.
+    # The pair test reads this window right only past the headroom rule
     frob, m = S.frobenius, S.multiplicity
     if smask is None:
         smask = S.element_mask(frob + m + (frob - m))
@@ -165,19 +179,26 @@ def kernel_args(S, gens, smask=None):
 
 
 def wide_args(S, gens):
-    # the window a caller needs with the headroom test off: an unmasked
+    # the window the pair test needs without the headroom rule: an unmasked
     # dual over a member bitset through F + m + 2 * top
     frob, m = S.frobenius, S.multiplicity
     smask = S.element_mask(frob + m + 2 * (frob - m))
     return candidate_args(S, gens, smask, smask)
 
 
-def pair_args(S, gens):
-    # wide_args with the headroom test off (headroom F + m lies above every
-    # minimal generator of the dual), for a wanted mask that holds offsets
-    # at or below max I: the kill is then the bad pairs' masks, not the -1
-    # of the headroom test.  It needs the wide window: its pairs reach past F
-    return wide_args(S, gens)[:4] + (S.frobenius + S.multiplicity,)
+def headroom_drops(S, gens, mins):
+    # the walk's headroom rule: the dual has a minimal generator above
+    # F - max I
+    return mins >> (S.frobenius - gens[-1] + 1) != 0
+
+
+def walk_verdict(S, gens):
+    # the walk's decision on a candidate: the headroom rule, then the pair
+    # test on the walk's window
+    dual, mins, smask, diffs = kernel_args(S, gens)
+    if headroom_drops(S, gens, mins):
+        return False
+    return _bad_generators(dual, mins, smask, diffs, 0)[0]
 
 
 @pytest.mark.parametrize("config", [
@@ -188,17 +209,20 @@ def pair_args(S, gens):
     SearchConfig(t_min=4, t_max=4, gen_max=16, mu_cap=5),
 ], ids=["t4-20", "t5-19", "t4-17-cap4", "t3-16-cap4", "t4-16-cap5"])
 def test_every_skipped_candidate_has_a_bad_pair(monkeypatch, config):
-    # a skipped candidate I' needs a sub-ideal J of I' that holds 0, a
-    # minimal generator w of S - J and a signed difference delta of J with
-    # w and w + delta both in S - I'; found here through brick_check's
-    # duals.  Then w is a minimal generator of S - I' (the lemma in
-    # _bad_generators) and delta a difference of I', so (S, I') is no brick
+    # a candidate I' that never reaches the pair test needs a sub-ideal J
+    # of I' that holds 0, a minimal generator w of S - J and a signed
+    # difference delta of J with w and w + delta both in S - I'; found here
+    # through brick_check's duals.  Then w is a minimal generator of S - I'
+    # (the lemma in _bad_generators) and delta a difference of I', so
+    # (S, I') is no brick.  J is a proper sub-ideal, or I' itself when its
+    # own headroom witness drops it: w above F - max I' with
+    # delta = max I'
     kernel = brickhunt._bad_generators
     tested = set()
 
-    def recording(dual, smask, atoms, diffs, headroom, wanted):
+    def recording(dual, mins, smask, diffs, wanted):
         tested.add((dual, frozenset(diffs)))
-        return kernel(dual, smask, atoms, diffs, headroom, wanted)
+        return kernel(dual, mins, smask, diffs, wanted)
 
     monkeypatch.setattr(brickhunt, "_bad_generators", recording)
     skipped = 0
@@ -207,17 +231,23 @@ def test_every_skipped_candidate_has_a_bad_pair(monkeypatch, config):
         _scan_semigroup(S.min_gens, config)
         duals = {}
 
+        def dual_gens(J):
+            if J not in duals:
+                duals[J] = brick_check(S, RelativeIdeal(S, J)).dual_ideal.min_gens
+            return duals[J]
+
         def certified(gens):
             def in_dual(y):
                 return all((y + z) in S for z in gens)
 
+            if any(w > S.frobenius - gens[-1] and in_dual(w + gens[-1])
+                   for w in dual_gens(gens)):
+                return True
             for size in range(1, len(gens) - 1):
                 for sub in itertools.combinations(gens[1:], size):
                     J = (0, *sub)
-                    if J not in duals:
-                        duals[J] = brick_check(S, RelativeIdeal(S, J)).dual_ideal.min_gens
                     if any(in_dual(w) and in_dual(w + q - p)
-                           for w in duals[J]
+                           for w in dual_gens(J)
                            for p, q in itertools.permutations(J, 2)):
                         return True
             return False
@@ -225,9 +255,9 @@ def test_every_skipped_candidate_has_a_bad_pair(monkeypatch, config):
         walked = set()
         for ideal in enumerate_ideals(S, config):
             gens = ideal.min_gens
-            dual, _, _, diffs, _ = kernel_args(S, gens)
+            dual, _, _, diffs = kernel_args(S, gens)
             walked.add((dual, frozenset(diffs)))
-            if len(gens) < 3 or (dual, frozenset(diffs)) in tested:
+            if (dual, frozenset(diffs)) in tested:
                 continue
             skipped += 1
             assert certified(gens), (S.min_gens, gens)
@@ -241,30 +271,40 @@ def test_every_skipped_candidate_has_a_bad_pair(monkeypatch, config):
     SearchConfig(t_min=4, t_max=4, gen_max=18, mu_cap=4),
     SearchConfig(t_min=3, t_max=3, gen_max=22, mu_cap=4),
 ], ids=["t4-18-cap4", "t3-22-cap4"])
-def test_headroom_rules_out_the_subtree(config):
+def test_headroom_rules_out_the_subtree(monkeypatch, config):
     # a candidate I whose dual, by brick_check, has a minimal generator
-    # above F - max I is no brick, and the kernel returns (False, -1) for
-    # it, -1 the bitset of every offset, whatever it wants.  Every candidate
-    # that extends I by larger offsets has a flagged parent in the tree, so
-    # it is flagged and refused too
+    # above F - max I is no brick, the walk's headroom rule reads that
+    # generator off the walk's window, and the walk drops I before the pair
+    # test.  Every candidate that extends I by larger offsets has a flagged
+    # parent in the tree, so it is flagged too: no extension of I reaches
+    # the pair test either
+    kernel = brickhunt._bad_generators
+    tested = set()
+
+    def recording(dual, mins, smask, diffs, wanted):
+        tested.add((dual, frozenset(diffs)))
+        return kernel(dual, mins, smask, diffs, wanted)
+
+    monkeypatch.setattr(brickhunt, "_bad_generators", recording)
     high = 0
     for S in enumerate_semigroups(config):
         frob, top = S.frobenius, S.frobenius - S.multiplicity
         smask = S.element_mask(frob + S.multiplicity + top)
-        gapmask = ~smask & ((1 << (top + 1)) - 1)
+        tested.clear()
+        _scan_semigroup(S.min_gens, config)
         flagged = set()
         for ideal in enumerate_ideals(S, config):
             gens = ideal.min_gens
             check = brick_check(S, ideal)
+            dual, mins, _, diffs = kernel_args(S, gens, smask)
             if max(check.dual_ideal.min_gens) <= frob - gens[-1]:
                 assert gens[:-1] not in flagged, (S.min_gens, gens)
+                assert not headroom_drops(S, gens, mins), (S.min_gens, gens)
                 continue
             flagged.add(gens)
             assert not check.is_brick, (S.min_gens, gens)
-            wanted = gapmask >> (gens[-1] + 1) << (gens[-1] + 1)
-            args = kernel_args(S, gens, smask)
-            assert _bad_generators(*args, wanted) == (False, -1)
-            assert _bad_generators(*args, 0) == (False, -1)
+            assert headroom_drops(S, gens, mins), (S.min_gens, gens)
+            assert (dual, frozenset(diffs)) not in tested, (S.min_gens, gens)
         high += len(flagged)
     assert high > 0
 
@@ -272,19 +312,24 @@ def test_headroom_rules_out_the_subtree(config):
 # ------------------------------------------------------------ the criterion
 
 def test_criterion_matches_brick_check_over_a_space():
-    # every candidate of t4/gen<=18 at cap 4, decided by the kernel alone;
-    # with nothing wanted it kills nothing unless the headroom test rules
-    # out the whole subtree
+    # every candidate of t4/gen<=18 at cap 4, decided as the walk decides
+    # it: the headroom rule fires exactly where brick_check's dual has a
+    # minimal generator above F - max I, and the pair test decides the
+    # rest, killing nothing when nothing is wanted
     cfg = SearchConfig(t_min=4, t_max=4, gen_max=18, mu_cap=4)
     candidates = bricks = 0
     for S in enumerate_semigroups(cfg):
         for ideal in enumerate_ideals(S, cfg):
-            is_brick, kill = _bad_generators(*kernel_args(S, ideal.min_gens),
-                                             0)
+            gens = ideal.min_gens
+            dual, mins, smask, diffs = kernel_args(S, gens)
             check = brick_check(S, ideal)
-            assert is_brick == check.is_brick, (S.min_gens, ideal.min_gens)
-            high = max(check.dual_ideal.min_gens) > S.frobenius - ideal.min_gens[-1]
-            assert kill == (-1 if high else 0), (S.min_gens, ideal.min_gens)
+            high = max(check.dual_ideal.min_gens) > S.frobenius - gens[-1]
+            assert headroom_drops(S, gens, mins) == high, (S.min_gens, gens)
+            is_brick, kill = False, 0
+            if not high:
+                is_brick, kill = _bad_generators(dual, mins, smask, diffs, 0)
+            assert is_brick == check.is_brick, (S.min_gens, gens)
+            assert kill == 0, (S.min_gens, gens)
             candidates += 1
             bricks += is_brick
     assert (candidates, bricks) == (141_510, 2)
@@ -309,8 +354,8 @@ def oracle_is_brick(sgens, igens):
 @settings(max_examples=150, deadline=None)
 def test_criterion_matches_oracles(gens, picks):
     # a candidate (0, *offsets), offsets gaps up to F - m with pairwise
-    # differences that are gaps, decided by the kernel, by brick_check and
-    # by brute force
+    # differences that are gaps, decided as the walk decides it, by the pair
+    # test alone on the wide window, by brick_check and by brute force
     assume(math.gcd(*gens) == 1)
     S = NumericalSemigroup(gens)
     top = S.frobenius - S.multiplicity
@@ -321,21 +366,23 @@ def test_criterion_matches_oracles(gens, picks):
             offsets.append(x)
     assume(offsets)
     ideal = (0, *sorted(offsets))
-    is_brick, _ = _bad_generators(*kernel_args(S, ideal), 0)
+    is_brick = walk_verdict(S, ideal)
+    assert is_brick == _bad_generators(*wide_args(S, ideal), 0)[0]
     assert is_brick == brick_check(S, RelativeIdeal(S, ideal)).is_brick
     assert is_brick == oracle_is_brick(S.min_gens, ideal)
 
 
 def test_kill_masks_read_the_wide_window():
-    # with the headroom test off, the kill masks read the member bitset up
+    # without the headroom rule, the kill masks read the member bitset up
     # to F + m + 2 * (F - m): cut at F + m + (F - m), it loses kill bits of
-    # some (0, g) on t4/gen<=20, and never gains one.  With it on, every
+    # some (0, g) on t4/gen<=20, and never gains one.  Past the rule, every
     # bad pair the masks read ends at or below F, so the walk's window (a
     # dual masked to [0, F + m], a member bitset through F + m + (F - m))
-    # decides every (0, g) and (0, g, x) as the wide, unmasked one does,
-    # kill included
+    # decides every (0, g) and (0, g, x) that the rule passes as the wide,
+    # unmasked one does, kill included; the wide one refuses the rest.  Both
+    # windows read the same minimal generators
     cfg = SearchConfig(t_min=4, t_max=4, gen_max=20)
-    lost = 0
+    lost = dropped = 0
     for S in enumerate_semigroups(cfg):
         frob, m = S.frobenius, S.multiplicity
         top = frob - m
@@ -343,31 +390,40 @@ def test_kill_masks_read_the_wide_window():
         gapmask = ~smask & ((1 << (top + 1)) - 1)
         for g in _bits(gapmask):
             wanted = gapmask & (gapmask << g)
-            dual, wide, atoms, diffs, room = pair_args(S, (0, g))
-            _, kill = _bad_generators(dual, wide, atoms, diffs, room, wanted)
+            dual, mins, wide, diffs = wide_args(S, (0, g))
+            _, kill = _bad_generators(dual, mins, wide, diffs, wanted)
             cut = wide & ((2 << (frob + m + top)) - 1)
-            _, short = _bad_generators(cut & (cut >> g), cut, atoms, diffs,
-                                       room, wanted)
+            short_dual = cut & (cut >> g)
+            _, short = _bad_generators(short_dual, minimal(S, short_dual),
+                                       cut, diffs, wanted)
             assert short & ~kill == 0
             lost += short != kill
             # x = 0 stands for (0, g) itself, whose children are wanted
             for x in (0, *_bits(wanted)):
                 gens = (0, g, x) if x else (0, g)
+                args, wide_gens = kernel_args(S, gens, smask), wide_args(S, gens)
+                assert args[1] == wide_gens[1], (S.min_gens, gens)
+                if headroom_drops(S, gens, args[1]):
+                    dropped += 1
+                    assert not _bad_generators(*wide_gens, 0)[0], \
+                        (S.min_gens, gens)
+                    continue
                 for want in (0, wanted & (gapmask << x)):
-                    got = _bad_generators(*kernel_args(S, gens, smask), want)
-                    assert got == _bad_generators(*wide_args(S, gens), want), \
+                    got = _bad_generators(*args, want)
+                    assert got == _bad_generators(*wide_gens, want), \
                         (S.min_gens, gens)
     assert lost > 0
+    assert dropped > 0
 
 
 # ------------------------------------------------------------ re-validation
 
 @pytest.mark.parametrize("t,fake", [
-    # every ideal, then only the leaves, then only the (0, g) tests
-    (3, lambda dual, smask, atoms, diffs, headroom, wanted: (True, 0)),
-    (4, lambda dual, smask, atoms, diffs, headroom, wanted: (not wanted, 0)),
-    (4, lambda dual, smask, atoms, diffs, headroom, wanted:
-        (len(diffs) == 1, 0)),
+    # every ideal past the headroom rule, then only the leaves, then only
+    # the (0, g) tests
+    (3, lambda dual, mins, smask, diffs, wanted: (True, 0)),
+    (4, lambda dual, mins, smask, diffs, wanted: (not wanted, 0)),
+    (4, lambda dual, mins, smask, diffs, wanted: (len(diffs) == 1, 0)),
 ], ids=["t3-all", "t4-leaves", "t4-roots"])
 def test_false_kernel_hit_raises(monkeypatch, t, fake):
     monkeypatch.setattr(brickhunt, "_bad_generators", fake)
@@ -434,18 +490,18 @@ def test_lemma_and_bad_pairs(gens, data):
         if w in large:
             assert w in large_gens
     for ideal in ((0, u), (0, u, v)):
-        assert _bad_generators(*kernel_args(S, ideal), 0)[0] == \
-            oracle_is_brick(S.min_gens, ideal)
+        assert walk_verdict(S, ideal) == oracle_is_brick(S.min_gens, ideal)
 
     # at every (0, g) the flag is brick_check's.  Each bad pair
     # (w, w + delta), w a minimal generator of S - (0, g) with w + delta in
     # it, delta = +-g, has the mask of the offsets x up to top that keep
-    # both in the dual.  With the headroom test off the kill mask is
-    # exactly their union in wanted (so the early stop loses no wanted
-    # bit); with it on it is that too, or -1 where the dual has a minimal
-    # generator above F - g.  Every ideal (0, g, x) with x killed is refused
-    # by brick_check.  window and gapmask hold offsets up to g, so they are
-    # read with the headroom test off
+    # both in the dual.  On the wide window the kill mask is exactly their
+    # union in wanted (so the early stop loses no wanted bit).  On the
+    # walk's window the headroom rule drops (0, g) exactly where the dual
+    # has a minimal generator above F - g, and past it the kill mask is
+    # that union too.  Every ideal (0, g, x) with x killed is refused by
+    # brick_check.  window and gapmask hold offsets up to g, so they are
+    # read on the wide window
     window = (1 << (top + 1)) - 1
     gapmask = ~S.element_mask(top) & window
 
@@ -466,15 +522,18 @@ def test_lemma_and_bad_pairs(gens, data):
         for p in pair_masks[g]:
             full |= p
         high = max(dual) > frob - g
-        for wanted, make_args in ((window, pair_args), (gapmask, pair_args),
+        for wanted, make_args in ((window, wide_args), (gapmask, wide_args),
                                   (children, kernel_args), (0, kernel_args)):
-            is_brick, kill = _bad_generators(*make_args(S, (0, g)), wanted)
+            args = make_args(S, (0, g))
+            if make_args is kernel_args:
+                assert headroom_drops(S, (0, g), args[1]) == high
+                if high:
+                    assert not check.is_brick
+                    continue
+            is_brick, kill = _bad_generators(*args, wanted)
             assert is_brick == check.is_brick
-            if make_args is kernel_args and high:
-                assert kill == -1
-            else:
-                assert kill & ~wanted == 0
-                assert kill == full & wanted
+            assert kill & ~wanted == 0
+            assert kill == full & wanted
         for x in _bits(full & gapmask):
             if x != g and abs(x - g) not in S:
                 ideal = RelativeIdeal(S, sorted((0, g, x)))
@@ -490,7 +549,7 @@ def test_lemma_and_bad_pairs(gens, data):
         assert not brick_check(S, RelativeIdeal(S, ideal)).is_brick
 
     # one level down: a kill bit x of (0, u, v) rules out (0, u, v, x)
-    is_brick, kill = _bad_generators(*pair_args(S, (0, u, v)), window)
+    is_brick, kill = _bad_generators(*wide_args(S, (0, u, v)), window)
     assert is_brick == brick_check(S, RelativeIdeal(S, (0, u, v))).is_brick
     for x in _bits(kill & gapmask):
         if x not in (u, v) and all(abs(x - a) not in S for a in (u, v)):
