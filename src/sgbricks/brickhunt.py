@@ -290,13 +290,15 @@ def _walk_candidates(S: NumericalSemigroup, cap: int) -> list[tuple[int, ...]]:
     of S - I for a brick lies at or below F - max I, and so does every w
     that reaches _bad_generators.
 
-    A child past the headroom rule gets the pair test of _bad_generators,
-    whose kill drops offsets from its children: a node whose children are
-    leaves wants their offsets, and a leaf is skipped, untested, when its
-    parent's bad pairs rule it out; a higher node wants none.  A child that
-    a bad pair of an ancestor rules out is tested itself, and by the lemma
-    its own dual yields the same pair, so its kill holds every bit the
-    ancestor's would have passed down.
+    One loop serves every child, leaves included.  A child past the
+    headroom rule gets the pair test of _bad_generators, whose kill drops
+    offsets from its children: a node whose children are leaves wants their
+    offsets, and a leaf is skipped, untested, when its parent's bad pairs
+    rule it out.  A higher node wants none, and so does a leaf, which has no
+    children: its kill is 0 and the walk never recurses into it.  A child
+    that a bad pair of an ancestor rules out is tested itself, and by the
+    lemma its own dual yields the same pair, so its kill holds every bit
+    the ancestor's would have passed down.
     """
     frob, m = S.frobenius, S.multiplicity
     top = frob - m
@@ -314,22 +316,7 @@ def _walk_candidates(S: NumericalSemigroup, cap: int) -> list[tuple[int, ...]]:
         # the children gens + (x,), x in cand, of a node with dual bitset
         # dual and positive differences diffs
         rest = cand
-        if len(gens) + 1 == cap:
-            # the children are leaves, and cand holds only live ones
-            while rest:
-                x = rest.bit_length() - 1
-                rest ^= 1 << x
-                sub = dual & (smask >> x)
-                lows = 0
-                for a in atoms:
-                    lows |= sub << a
-                mins = sub & ~lows
-                if mins >> (room - x):
-                    continue
-                if _bad_generators(sub, mins, smask,
-                                   diffs + tuple(map(x.__sub__, gens)), 0)[0]:
-                    found.append(gens + (x,))
-            return
+        inner = len(gens) + 1 < cap  # the children have children
         last = len(gens) + 2 == cap  # the children's children are leaves
         while rest:
             x = rest.bit_length() - 1
@@ -342,7 +329,7 @@ def _walk_candidates(S: NumericalSemigroup, cap: int) -> list[tuple[int, ...]]:
             if mins >> (room - x):
                 continue
             child = diffs + tuple(map(x.__sub__, gens))
-            below = cand & (gapmask << x)
+            below = cand & (gapmask << x) if inner else 0
             accepted, kill = _bad_generators(sub, mins, smask, child,
                                              below if last else 0)
             if accepted:

@@ -103,6 +103,20 @@ def recording_kernel(monkeypatch):
     return calls
 
 
+def recording_duals(monkeypatch):
+    # (dual, differences as a set) of every pair test, cleared by the caller
+    # between semigroups
+    tested = set()
+    kernel = brickhunt._bad_generators
+
+    def recording(dual, mins, smask, diffs, wanted):
+        tested.add((dual, frozenset(diffs)))
+        return kernel(dual, mins, smask, diffs, wanted)
+
+    monkeypatch.setattr(brickhunt, "_bad_generators", recording)
+    return tested
+
+
 def test_pruning_skips_most_kernel_calls(monkeypatch):
     cfg = SearchConfig(t_min=4, t_max=4, gen_max=25)
     sizes = [len(I.min_gens) for S in enumerate_semigroups(cfg)
@@ -128,27 +142,28 @@ def test_pruning_skips_most_kernel_calls(monkeypatch):
     assert len(calls) == 32_712
 
 
-def test_pruning_reaches_four_generators(monkeypatch):
+@pytest.mark.parametrize("config,candidates,hits,tests,bound", [
     # with no pruning past three generators the scan made 358,122 calls
-    calls = recording_kernel(monkeypatch)
-    reports = search(SearchConfig(t_min=4, t_max=4, gen_max=20, mu_cap=4))
-    assert len(reports) == 2
-    assert len(calls) == 9_163
-    assert len(calls) <= 358_122 // 2
-
-
-def test_pruning_at_cap_five(monkeypatch):
+    (SearchConfig(t_min=4, t_max=4, gen_max=20, mu_cap=4),
+     428_142, 2, 9_163, 358_122 // 2),
     # only the headroom rule prunes above the leaves' parents, so a node
     # that a bad pair of an ancestor rules out is tested itself
-    cfg = SearchConfig(t_min=4, t_max=4, gen_max=18, mu_cap=5)
-    candidates = sum(1 for S in enumerate_semigroups(cfg)
-                     for _ in enumerate_ideals(S, cfg))
-    assert candidates == 327_783
+    (SearchConfig(t_min=4, t_max=4, gen_max=18, mu_cap=5),
+     327_783, 2, 4_484, 327_783 // 10),
+    # the root's children are leaves: the root wants no kill, so only the
+    # headroom rule keeps a leaf from the pair test (38,175 of 83,058)
+    (SearchConfig(t_min=3, t_max=3, gen_max=30),
+     83_058, 48, 44_883, 83_058 * 6 // 10),
+], ids=["t4-20-cap4", "t4-18-cap5", "t3-30"])
+def test_pruning_pins_pair_tests(monkeypatch, config, candidates, hits,
+                                 tests, bound):
+    assert sum(1 for S in enumerate_semigroups(config)
+               for _ in enumerate_ideals(S, config)) == candidates
     calls = recording_kernel(monkeypatch)
-    reports = search(cfg)
-    assert len(reports) == 2
-    assert len(calls) == 4_484
-    assert len(calls) <= candidates // 10
+    reports = search(config)
+    assert len(reports) == hits
+    assert len(calls) == tests
+    assert len(calls) <= bound
 
 
 def minimal(S, dual):
@@ -217,14 +232,7 @@ def test_every_skipped_candidate_has_a_bad_pair(monkeypatch, config):
     # (S, I') is no brick.  J is a proper sub-ideal, or I' itself when its
     # own headroom witness drops it: w above F - max I' with
     # delta = max I'
-    kernel = brickhunt._bad_generators
-    tested = set()
-
-    def recording(dual, mins, smask, diffs, wanted):
-        tested.add((dual, frozenset(diffs)))
-        return kernel(dual, mins, smask, diffs, wanted)
-
-    monkeypatch.setattr(brickhunt, "_bad_generators", recording)
+    tested = recording_duals(monkeypatch)
     skipped = 0
     for S in enumerate_semigroups(config):
         tested.clear()
@@ -278,14 +286,7 @@ def test_headroom_rules_out_the_subtree(monkeypatch, config):
     # test.  Every candidate that extends I by larger offsets has a flagged
     # parent in the tree, so it is flagged too: no extension of I reaches
     # the pair test either
-    kernel = brickhunt._bad_generators
-    tested = set()
-
-    def recording(dual, mins, smask, diffs, wanted):
-        tested.add((dual, frozenset(diffs)))
-        return kernel(dual, mins, smask, diffs, wanted)
-
-    monkeypatch.setattr(brickhunt, "_bad_generators", recording)
+    tested = recording_duals(monkeypatch)
     high = 0
     for S in enumerate_semigroups(config):
         frob, top = S.frobenius, S.frobenius - S.multiplicity
@@ -419,10 +420,10 @@ def test_kill_masks_read_the_wide_window():
 # ------------------------------------------------------------ re-validation
 
 @pytest.mark.parametrize("t,fake", [
-    # every ideal past the headroom rule, then only the leaves, then only
-    # the (0, g) tests
+    # every ideal past the headroom rule, then only the leaves (0, g, x) of
+    # the default cap 3, then only the (0, g) tests
     (3, lambda dual, mins, smask, diffs, wanted: (True, 0)),
-    (4, lambda dual, mins, smask, diffs, wanted: (not wanted, 0)),
+    (4, lambda dual, mins, smask, diffs, wanted: (len(diffs) == 3, 0)),
     (4, lambda dual, mins, smask, diffs, wanted: (len(diffs) == 1, 0)),
 ], ids=["t3-all", "t4-leaves", "t4-roots"])
 def test_false_kernel_hit_raises(monkeypatch, t, fake):
